@@ -268,9 +268,10 @@ pub struct MachineConfig {
     pub shards: u32,
     /// Service L2 misses homed on a lane-owned L3 bank inside phase A
     /// (the lane-owned-bank fast path). On by default. Turning it off
-    /// forces every line fetch back onto the serial spine — the
-    /// pre-change engine, which `perfstat` uses as its escalation-rate
-    /// baseline. The BSP-level outcome is identical either way (phase
+    /// makes the lane guard refuse every owned-bank line fetch (cause
+    /// `l3-local`), so every L2 miss runs on the serial spine — the
+    /// escalate-everything engine `perfstat` uses as its
+    /// escalation-rate baseline and `prop_sim` as its reference. The BSP-level outcome is identical either way (phase
     /// count, tasks executed, operation totals, and the golden-checked
     /// computed answer — pinned by the `prop_sim` lane-ownership
     /// property test); cycle-level arbitration order is not, because

@@ -40,6 +40,7 @@
 //! assert!(report.total_messages() > 0);
 //! ```
 
+mod access;
 pub mod adaptive;
 pub mod config;
 pub mod machine;

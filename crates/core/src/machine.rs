@@ -21,7 +21,7 @@
 //! detect stale data immediately.
 
 use cohesion_mem::addr::{Addr, AddressMap, BankOwnership, LineAddr, WORDS_PER_LINE};
-use cohesion_mem::cache::{Cache, EvictedLine, HwState};
+use cohesion_mem::cache::{Cache, HwState};
 use cohesion_mem::dram::Dram;
 use cohesion_mem::mainmem::MainMemory;
 use cohesion_protocol::directory::{DirEntry, DirState, DirectoryBank, EntryClass};
@@ -40,8 +40,10 @@ use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
 use cohesion_sim::timeline::EscalationCause;
 use cohesion_sim::Cycle;
 
+use crate::access::{self, Access, Guard, Stop};
 use crate::config::MachineConfig;
 use crate::noc::{LaneNoc, Noc};
+use crate::profile::RegionProfiler;
 
 /// A coherence error surfaced by the machine (these are *simulated-program*
 /// failures the harness turns into test failures, not simulator bugs).
@@ -97,7 +99,6 @@ pub struct Machine {
     cfg: MachineConfig,
     map: AddressMap,
     processes: Vec<ProcessCtx>,
-    mode: CohMode,
 
     /// Backing memory (holds real data, including the fine-grain table).
     pub mem: MainMemory,
@@ -125,7 +126,7 @@ pub struct Machine {
     races: Vec<RaceReport>,
     transitions_to_sw: u64,
     transitions_to_hw: u64,
-    profiler: crate::profile::RegionProfiler,
+    profiler: RegionProfiler,
     /// Structured protocol event log. Armed programmatically via
     /// [`Machine::trace_log_mut`] or by `COHESION_WATCH=0xADDR` (which
     /// watches one line and echoes to stderr).
@@ -210,7 +211,6 @@ impl Machine {
         Machine {
             map,
             processes,
-            mode,
             mem: MainMemory::new(),
             l1i: (0..cfg.cores).map(|_| Cache::new(cfg.l1i)).collect(),
             l1d: (0..cfg.cores).map(|_| Cache::new(cfg.l1d)).collect(),
@@ -237,7 +237,7 @@ impl Machine {
             races: Vec::new(),
             transitions_to_sw: 0,
             transitions_to_hw: 0,
-            profiler: crate::profile::RegionProfiler::default(),
+            profiler: RegionProfiler::default(),
             tracelog: {
                 let mut log = cohesion_sim::tracelog::TraceLog::new();
                 if let Ok(v) = std::env::var("COHESION_WATCH") {
@@ -294,13 +294,6 @@ impl Machine {
         self.timeline.snapshot()
     }
 
-    /// The process context owning `addr`, if any (processes own their
-    /// slices; the tables themselves belong to their process).
-    fn process_of(&self, addr: Addr) -> Option<&ProcessCtx> {
-        self.processes
-            .iter()
-            .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
-    }
 
     /// Boot-time table setup (§3.4/§3.5): the bootstrap core zeroes the
     /// fine-grain table (all HWcc) and the runtime then marks the incoherent
@@ -308,7 +301,7 @@ impl Machine {
     /// part of application load, before timing starts. Call after installing
     /// the initial memory image.
     pub fn boot(&mut self) {
-        if self.mode != CohMode::Cohesion {
+        if self.cfg.design.mode != CohMode::Cohesion {
             return;
         }
         for pi in 0..self.processes.len() {
@@ -333,26 +326,12 @@ impl Machine {
     /// Registers address regions for coherence profiling (§4.2's remapping
     /// feedback); see [`crate::profile`].
     pub fn enable_profiling(&mut self, regions: Vec<(Addr, u32)>) {
-        self.profiler = crate::profile::RegionProfiler::new(regions);
+        self.profiler = RegionProfiler::new(regions);
     }
 
     /// Current per-region profile totals.
     pub fn profile_snapshot(&self) -> Vec<crate::profile::RegionFeedback> {
         self.profiler.snapshot()
-    }
-
-    fn note_msg(&mut self, cluster: ClusterId, line: LineAddr, class: MessageClass, t: Cycle) {
-        self.l2_msgs[cluster.0 as usize].record(class);
-        self.metrics.sample_add("messages", t, 1);
-        if !self.profiler.is_empty() {
-            self.profiler.note_message(line, class);
-        }
-    }
-
-    fn trace_kind(&mut self, t: Cycle, line: LineAddr, kind: &'static str, what: std::fmt::Arguments<'_>) {
-        if self.tracelog.wants(line.0) {
-            self.tracelog.record(t, line.0, kind, what.to_string());
-        }
     }
 
     /// The machine's configuration.
@@ -390,87 +369,55 @@ impl Machine {
 
     /// The fine-grain table of whichever process owns `addr`, if any.
     pub fn fine_table_for(&self, addr: Addr) -> Option<&FineTable> {
-        self.process_of(addr).map(|p| &p.fine)
+        process_of(&self.processes, addr).map(|p| &p.fine)
     }
 
     /// Current coherence domain of a line, as the hardware would resolve it
     /// (coarse table, then fine table; HWcc default).
     pub fn domain_of(&self, line: LineAddr) -> Domain {
-        resolve_domain(self.mode, &self.processes, &self.mem, line)
-    }
-
-    fn classify(&self, line: LineAddr) -> EntryClass {
-        match self.process_of(line.base()) {
-            Some(p) => p.layout.classify(line.base()),
-            None => EntryClass::HeapGlobal,
-        }
-    }
-
-    fn bank_of(&self, line: LineAddr) -> BankId {
-        BankId(self.map.bank_of(line))
+        resolve_domain(self.cfg.design.mode, &self.processes, &self.mem, line)
     }
 
     // ------------------------------------------------------------------
-    // L3-side helpers (functional data + analytic timing)
+    // Core-visible operations (one body each, shared with the lane views)
     // ------------------------------------------------------------------
 
-    /// Reads a full line at the L3: hit serves from the bank, miss fetches
-    /// from DRAM and allocates. Advances `t` by the access time.
-    fn l3_read_line(&mut self, bank: BankId, line: LineAddr, t: &mut Cycle) -> [u32; WORDS_PER_LINE] {
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
-            return l.data;
-        }
-        // Miss: fetch from memory.
-        let data = self.mem.read_line(line);
-        let svc = self.timeline.start();
-        *t = self.dram.access(*t, line).max(*t);
-        self.timeline.service("dram_service", svc, *t);
-        let (fresh, victim) = self.l3[b].allocate(line);
-        fresh.fill_masked(&data, 0xff);
-        if let Some(v) = victim {
-            self.l3_spill(v, *t);
-        }
-        data
+    /// Performs a load; returns `(completion_cycle, value)`.
+    pub fn load(&mut self, core: CoreId, addr: Addr, t: Cycle) -> (Cycle, u32) {
+        admitted(access::load(self, core, addr, t))
     }
 
-    /// Writes `mask`ed words into the L3 image of `line` (writeback merge).
-    /// On an L3 miss the words write through to memory (no allocate on
-    /// partial writebacks).
-    fn l3_write_words(
-        &mut self,
-        bank: BankId,
-        line: LineAddr,
-        data: &[u32; WORDS_PER_LINE],
-        mask: u8,
-        t: Cycle,
-    ) {
-        if mask == 0 {
-            return;
-        }
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
-            for (i, &word) in data.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-        } else {
-            self.mem.write_line_masked(line, data, mask);
-            // Posted write: charge DRAM bandwidth, do not block the caller.
-            self.dram.posted_write(t, line);
-        }
+    /// Performs a store; returns the cycle at which the core may proceed.
+    ///
+    /// Stores are *non-blocking*: a store miss issues its ownership request
+    /// and retires into the store buffer; the core continues while the
+    /// directory transaction completes (its bandwidth, probe, and DRAM
+    /// costs are still charged against the shared resources). SWcc stores
+    /// write-allocate locally and complete immediately (§2.1).
+    pub fn store(&mut self, core: CoreId, addr: Addr, value: u32, t: Cycle) -> Cycle {
+        admitted(access::store(self, core, addr, value, t))
     }
 
-    /// Spills an evicted L3 line to memory at cycle `t` (posted write).
-    fn l3_spill(&mut self, v: EvictedLine, t: Cycle) {
-        if v.dirty_words != 0 {
-            self.mem.write_line_masked(v.addr, &v.data, v.dirty_words);
-            self.dram.posted_write(t, v.addr);
-        }
+    /// Executes the SWcc flush (writeback) instruction for `line`.
+    /// Non-blocking: the dirty words travel to the L3 off the critical path.
+    pub fn flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
+        admitted(access::flush(self, core, line, t))
     }
+
+    /// Executes the SWcc invalidate instruction for `line`. Local only; no
+    /// message is ever sent (§2.1).
+    pub fn invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
+        admitted(access::invalidate(self, core, line, t))
+    }
+
+    /// Instruction fetch of the line at `addr` (code).
+    pub fn ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Cycle {
+        admitted(access::ifetch(self, core, addr, t))
+    }
+
+    // ------------------------------------------------------------------
+    // Uncached atomics and domain transitions (serial only)
+    // ------------------------------------------------------------------
 
     /// Atomic read-modify-write of one word at the L3 (write-through to
     /// memory so the table/functional state is always current).
@@ -484,7 +431,7 @@ impl Machine {
     ) -> (u32, u32) {
         let line = addr.line();
         let w = addr.word_index();
-        let data = self.l3_read_line(bank, line, t);
+        let data = access::l3_read_line(self, bank, line, t);
         let old = data[w];
         let new = kind.apply(old, operand);
         let mask = 1u8 << w;
@@ -497,507 +444,6 @@ impl Machine {
         self.mem.write_word(addr, new);
         *t += 1; // RMW turnaround at the bank
         (old, new)
-    }
-
-    // ------------------------------------------------------------------
-    // Probes (directory -> L2)
-    // ------------------------------------------------------------------
-
-    /// Sends a probe to `target` for `line`; applies the effect to the L2
-    /// and returns the cycle the response reaches the bank.
-    ///
-    /// `invalidate` selects invalidation (vs. downgrade-to-Shared). Dirty
-    /// data found in the L2 is written back into the L3. The response is
-    /// counted as a [`MessageClass::ProbeResponse`] from the target cluster.
-    ///
-    /// Ordinary directory probes ignore incoherent (SWcc) lines — they are
-    /// invisible to the protocol (§3.4). The SWcc⇒HWcc transition's
-    /// broadcast *clean request* must act on them, so it probes with
-    /// `include_incoherent`.
-    fn probe(
-        &mut self,
-        bank: BankId,
-        target: ClusterId,
-        line: LineAddr,
-        invalidate: bool,
-        t: Cycle,
-    ) -> Cycle {
-        self.probe_with(bank, target, line, invalidate, false, t)
-    }
-
-    fn probe_with(
-        &mut self,
-        bank: BankId,
-        target: ClusterId,
-        line: LineAddr,
-        invalidate: bool,
-        include_incoherent: bool,
-        t: Cycle,
-    ) -> Cycle {
-        let t_at_l2 = self.noc.reply(bank, target, t);
-        let tc = target.0 as usize;
-        let mut wb: Option<([u32; WORDS_PER_LINE], u8)> = None;
-        if let Some(l) = self.l2[tc].peek_mut(line) {
-            if !l.incoherent || include_incoherent {
-                if l.dirty_words != 0 {
-                    wb = Some((l.data, l.dirty_words));
-                    l.dirty_words = 0;
-                }
-                if invalidate {
-                    self.l2[tc].invalidate(line);
-                    self.back_invalidate_l1(target, line);
-                } else {
-                    l.state = HwState::Shared;
-                }
-            }
-        }
-        if let Some((data, mask)) = wb {
-            self.l3_write_words(bank, line, &data, mask, t_at_l2);
-        }
-        self.trace_kind(t, line, "probe", format_args!(
-            "{target} inv={invalidate} wb={:?}", wb.map(|(_, m)| m)
-        ));
-        self.note_msg(target, line, MessageClass::ProbeResponse, t_at_l2);
-        self.noc.request(target, bank, t_at_l2)
-    }
-
-    /// Invalidates `line` in the L1Ds of every core of `cluster`.
-    fn back_invalidate_l1(&mut self, cluster: ClusterId, line: LineAddr) {
-        for core in cluster.cores(self.cfg.cores_per_cluster) {
-            self.l1d[core.0 as usize].invalidate(line);
-        }
-    }
-
-    /// Handles a directory capacity/conflict eviction: all sharers of the
-    /// victim entry are invalidated (dirty data written back). Returns the
-    /// completion cycle.
-    fn directory_eviction(
-        &mut self,
-        bank: BankId,
-        vline: LineAddr,
-        ventry: DirEntry,
-        t: Cycle,
-    ) -> Cycle {
-        let clusters = self.cfg.clusters();
-        let mut done = t;
-        for target in ventry.sharers.probe_targets(clusters) {
-            done = done.max(self.probe(bank, target, vline, true, t));
-        }
-        done
-    }
-
-    // ------------------------------------------------------------------
-    // The central line-fetch transaction
-    // ------------------------------------------------------------------
-
-    /// Fetches `line` for `cluster` (`exclusive` for stores needing M).
-    /// Returns `(reply_arrival, data, grant)`: the granted HWcc state
-    /// ([`HwState::Shared`], [`HwState::Exclusive`] under the MESI
-    /// ablation, or [`HwState::Modified`]), or `None` for an incoherent
-    /// (SWcc) response — the reply's incoherent bit (§3.4).
-    fn fetch_line(
-        &mut self,
-        cluster: ClusterId,
-        line: LineAddr,
-        exclusive: bool,
-        class: MessageClass,
-        t_issue: Cycle,
-    ) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
-        self.trace_kind(t_issue, line, "fetch", format_args!(
-            "by {cluster} excl={exclusive} {class:?}"
-        ));
-        self.note_msg(cluster, line, class, t_issue);
-        let svc = self.timeline.start();
-        let bank = self.bank_of(line);
-        let t_arr = self.noc.request(cluster, bank, t_issue);
-        let mut t = self.l3_ports[bank.0 as usize].grant(t_arr) + self.cfg.l3_latency;
-
-        let grant = if self.dirs.is_some() {
-            self.resolve_with_directory(cluster, bank, line, exclusive, &mut t)
-        } else {
-            None // SWcc design point: everything is software-managed
-        };
-
-        let data = self.l3_read_line(bank, line, &mut t);
-        let t_reply = self.noc.reply(bank, cluster, t);
-        self.metrics.record_latency("latency/fetch", t_reply - t_issue);
-        self.timeline.service("l3_service", svc, t_issue);
-        (t_reply, data, grant)
-    }
-
-    /// Directory-side resolution for a fetch. Returns the granted HWcc
-    /// state, or `None` for an incoherent (SWcc) response. Advances `t`
-    /// past any probe/table activity.
-    fn resolve_with_directory(
-        &mut self,
-        requester: ClusterId,
-        bank: BankId,
-        line: LineAddr,
-        exclusive: bool,
-        t: &mut Cycle,
-    ) -> Option<HwState> {
-        let clusters = self.cfg.clusters();
-        let tracking = self
-            .dirs
-            .as_ref()
-            .expect("caller checked")[bank.0 as usize]
-            .config()
-            .tracking;
-
-        let hit = self.dirs.as_mut().expect("present")[bank.0 as usize]
-            .lookup(line)
-            .is_some();
-        self.metrics.inc(if hit {
-            "directory/lookup_hits"
-        } else {
-            "directory/lookup_misses"
-        });
-        if hit {
-            // HWcc path: MSI at the home bank.
-            let (state, targets) = {
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("just hit");
-                let targets: Vec<ClusterId> = e
-                    .sharers
-                    .probe_targets(clusters)
-                    .into_iter()
-                    .filter(|&c| c != requester)
-                    .collect();
-                (e.state, targets)
-            };
-            let t0 = *t;
-            let mut probes_done = *t;
-            if exclusive {
-                // Invalidate every other holder (writeback if modified).
-                for target in targets {
-                    probes_done = probes_done.max(self.probe(bank, target, line, true, t0));
-                }
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = DirState::Modified;
-                e.sharers = cohesion_protocol::sharers::SharerSet::empty(tracking, clusters);
-                e.sharers.add(requester, tracking);
-            } else {
-                if state == DirState::Modified && targets.is_empty() {
-                    // The requester already owns the line and is fetching
-                    // words its partial copy lacks (possible after a
-                    // case-3b transition upgraded a partial SWcc line):
-                    // ownership is retained, no downgrade.
-                    *t = probes_done;
-                    return Some(HwState::Modified);
-                }
-                if state == DirState::Modified {
-                    // Demand writeback + downgrade from the owner (this is
-                    // also the E->S downgrade cost the paper's MSI choice
-                    // avoids for read-shared data; §3.2).
-                    for target in targets {
-                        probes_done = probes_done.max(self.probe(bank, target, line, false, t0));
-                    }
-                }
-                let e = self.dirs.as_mut().expect("present")[bank.0 as usize]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = if state == DirState::Modified {
-                    DirState::Shared
-                } else {
-                    state
-                };
-                e.sharers.add(requester, tracking);
-            }
-            *t = probes_done;
-            return Some(if exclusive {
-                HwState::Modified
-            } else {
-                HwState::Shared
-            });
-        }
-
-        // Directory miss: consult the owning process's region tables (§3.4).
-        let proc = self
-            .process_of(line.base())
-            .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-        let domain = match (self.mode, proc) {
-            (CohMode::HWcc, _) => Domain::HWcc,
-            (CohMode::SWcc, _) => Domain::SWcc,
-            // Outside every process slice (runtime scratch): HWcc default,
-            // no table to consult.
-            (CohMode::Cohesion, None) => Domain::HWcc,
-            (CohMode::Cohesion, Some((in_coarse, fine))) => {
-                if in_coarse {
-                    self.metrics.inc("table/coarse_hits");
-                    Domain::SWcc
-                } else {
-                    // Fine-grain lookup (§3.4): a minimum of one extra
-                    // cycle; the table word comes from the dedicated table
-                    // cache when configured, else from the L3 (and DRAM on
-                    // a miss).
-                    let slot = fine.slot_of(line);
-                    let tline = slot.word.line();
-                    let mut tt = *t + 1;
-                    let tc_hit = match self.table_cache.as_mut() {
-                        Some(tc) => tc[bank.0 as usize].access(tline).is_some(),
-                        None => false,
-                    };
-                    self.metrics.inc("table/fine_lookups");
-                    if tc_hit {
-                        self.metrics.inc("table/fine_cache_hits");
-                    }
-                    if !tc_hit {
-                        let _ = self.l3_read_line(bank, tline, &mut tt);
-                        if let Some(tc) = self.table_cache.as_mut() {
-                            let (fresh, _) = tc[bank.0 as usize].allocate(tline);
-                            fresh.valid_words = 0xff;
-                        }
-                    }
-                    *t = tt;
-                    // The slot is already in hand: read the table word
-                    // directly instead of re-running the tbloff hash.
-                    fine.domain_at(&self.mem, slot)
-                }
-            }
-        };
-        match domain {
-            Domain::SWcc => None,
-            Domain::HWcc => {
-                let class = self.classify(line);
-                // MESI ablation: an unshared read miss is granted Exclusive,
-                // which the directory tracks as owned (it cannot observe the
-                // silent E->M upgrade).
-                let grant = if exclusive {
-                    HwState::Modified
-                } else if self.cfg.exclusive_state {
-                    HwState::Exclusive
-                } else {
-                    HwState::Shared
-                };
-                let entry = match grant {
-                    HwState::Shared => DirEntry::shared(requester, tracking, clusters, class),
-                    _ => DirEntry::modified(requester, tracking, clusters, class),
-                };
-                let victim =
-                    self.dirs.as_mut().expect("present")[bank.0 as usize].insert(*t, line, entry);
-                if let Some((vline, ventry)) = victim {
-                    let done = self.directory_eviction(bank, vline, ventry, *t);
-                    *t = (*t).max(done);
-                }
-                Some(grant)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Core-visible operations
-    // ------------------------------------------------------------------
-
-    /// Performs a load; returns `(completion_cycle, value)`.
-    pub fn load(&mut self, core: CoreId, addr: Addr, t: Cycle) -> (Cycle, u32) {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let line = addr.line();
-        let w = addr.word_index();
-
-        // L1D.
-        if let Some(l) = self.l1d[core.0 as usize].access(line) {
-            if l.word_valid(w) {
-                let v = l.data[w];
-                self.trace_kind(t, line, "load", format_args!("l1hit by {core} w{w} -> {v:#x}"));
-                return (t + 1, v);
-            }
-        }
-
-        // L2.
-        let c = cluster.0 as usize;
-        let mut t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
-        let need_fetch = match self.l2[c].access(line) {
-            Some(l) if l.word_valid(w) => {
-                let v = l.data[w];
-                self.trace_kind(t2, line, "load", format_args!("l2hit by {core} w{w} -> {v:#x}"));
-                self.l1d_fill_word(core, line, w, v);
-                self.metrics.record_latency("latency/load", t2 - t);
-                return (t2, v);
-            }
-            Some(_) => true,  // partial line, word missing
-            None => true,
-        };
-        debug_assert!(need_fetch);
-
-        let (t_done, data, grant) =
-            self.fetch_line(cluster, line, false, MessageClass::ReadRequest, t2);
-        t2 = t_done;
-        let value;
-        match self.l2[c].peek_mut(line) {
-            Some(l) => {
-                l.fill_masked(&data, 0xff);
-                if grant.is_none() {
-                    l.incoherent = true;
-                }
-                value = l.data[w];
-            }
-            None => {
-                let (fresh, victim) = self.l2[c].allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                value = fresh.data[w];
-                if let Some(v) = victim {
-                    self.handle_l2_eviction(cluster, v, t2);
-                }
-            }
-        }
-        self.trace_kind(t2, line, "load", format_args!("fill by {core} w{w} -> {value:#x}"));
-        self.l1d_fill_word(core, line, w, value);
-        self.metrics.record_latency("latency/load", t2 - t);
-        (t2, value)
-    }
-
-    fn l1d_fill_word(&mut self, core: CoreId, line: LineAddr, w: usize, value: u32) {
-        let l1 = &mut self.l1d[core.0 as usize];
-        if let Some(l) = l1.peek_mut(line) {
-            l.data[w] = value;
-            l.valid_words |= 1 << w;
-            return;
-        }
-        let (fresh, _victim) = l1.allocate(line);
-        fresh.data[w] = value;
-        fresh.valid_words = 1 << w;
-        // L1D is write-through: victims are always clean, drop silently.
-    }
-
-    /// Performs a store; returns the cycle at which the core may proceed.
-    ///
-    /// Stores are *non-blocking*: a store miss issues its ownership request
-    /// and retires into the store buffer; the core continues while the
-    /// directory transaction completes (its bandwidth, probe, and DRAM
-    /// costs are still charged against the shared resources). This models
-    /// the store buffering any in-order accelerator core provides, and is
-    /// what lets optimistic HWcc perform on par with SWcc despite write
-    /// misses costing a directory round trip (§4.5). SWcc stores
-    /// write-allocate locally and complete immediately (§2.1).
-    pub fn store(&mut self, core: CoreId, addr: Addr, value: u32, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let line = addr.line();
-        let w = addr.word_index();
-        let c = cluster.0 as usize;
-
-        let t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
-
-        enum Action {
-            WriteNow,
-            Upgrade,
-            MissSw,
-            MissHw,
-        }
-        let action = match self.l2[c].access(line) {
-            Some(l) => {
-                if l.state == HwState::Exclusive {
-                    // The silent E->M upgrade the MESI ablation buys.
-                    l.state = HwState::Modified;
-                    Action::WriteNow
-                } else if l.incoherent || l.state == HwState::Modified {
-                    Action::WriteNow
-                } else {
-                    Action::Upgrade
-                }
-            }
-            None => match self.domain_of(line) {
-                Domain::SWcc => Action::MissSw,
-                Domain::HWcc => Action::MissHw,
-            },
-        };
-
-        self.trace_kind(t2, line, "store", format_args!("by {core} w{w} val={value:#x}"));
-        let t_done = match action {
-            Action::WriteNow => {
-                self.l2[c]
-                    .peek_mut(line)
-                    .expect("hit")
-                    .write_word(w, value);
-                t2
-            }
-            Action::Upgrade => {
-                // Shared -> Modified: ownership request to the directory;
-                // the store retires into the store buffer while it travels.
-                let (_t3, _data, grant) =
-                    self.fetch_line(cluster, line, true, MessageClass::WriteRequest, t2);
-                let l = self.l2[c].peek_mut(line).expect("still present");
-                debug_assert!(grant.is_some());
-                l.state = HwState::Modified;
-                l.write_word(w, value);
-                t2 + 1
-            }
-            Action::MissSw => {
-                if self.cfg.word_granular_swcc {
-                    // SWcc write-allocate: no fill, no message (§2.1) —
-                    // per-word valid bits make the partial line legal.
-                    let (fresh, victim) = self.l2[c].allocate(line);
-                    fresh.incoherent = true;
-                    fresh.write_word(w, value);
-                    if let Some(v) = victim {
-                        self.handle_l2_eviction(cluster, v, t2);
-                    }
-                } else {
-                    // Ablation: without per-word bits the line must be
-                    // fetched before it can be partially written.
-                    let (t3, data, _grant) =
-                        self.fetch_line(cluster, line, false, MessageClass::ReadRequest, t2);
-                    match self.l2[c].peek_mut(line) {
-                        Some(l) => {
-                            l.fill_masked(&data, 0xff);
-                            l.incoherent = true;
-                            l.write_word(w, value);
-                        }
-                        None => {
-                            let (fresh, victim) = self.l2[c].allocate(line);
-                            fresh.fill_masked(&data, 0xff);
-                            fresh.incoherent = true;
-                            fresh.write_word(w, value);
-                            if let Some(v) = victim {
-                                self.handle_l2_eviction(cluster, v, t3);
-                            }
-                        }
-                    }
-                }
-                t2
-            }
-            Action::MissHw => {
-                let (t3, data, grant) =
-                    self.fetch_line(cluster, line, true, MessageClass::WriteRequest, t2);
-                debug_assert!(grant.is_some(), "fine table and L2 state disagree");
-                match self.l2[c].peek_mut(line) {
-                    Some(l) => {
-                        l.fill_masked(&data, 0xff);
-                        l.state = HwState::Modified;
-                        l.write_word(w, value);
-                    }
-                    None => {
-                        let (fresh, victim) = self.l2[c].allocate(line);
-                        fresh.fill_masked(&data, 0xff);
-                        fresh.state = HwState::Modified;
-                        fresh.write_word(w, value);
-                        if let Some(v) = victim {
-                            self.handle_l2_eviction(cluster, v, t3);
-                        }
-                    }
-                }
-                // Non-blocking: the core proceeds past the buffered store.
-                t2 + 1
-            }
-        };
-
-        // L1D write-through update: the split-phase cluster bus lets every
-        // sibling L1D snoop the store, so all cluster-local copies of the
-        // word are updated (the L1s are kept consistent *within* a cluster
-        // by the bus; the inter-cluster protocol is the L2's job).
-        for sibling in cluster.cores(self.cfg.cores_per_cluster) {
-            if let Some(l) = self.l1d[sibling.0 as usize].peek_mut(line) {
-                if l.word_valid(w) {
-                    l.data[w] = value;
-                }
-            }
-        }
-        self.metrics.record_latency("latency/store", t_done - t);
-        t_done
     }
 
     /// Performs an uncached atomic; returns `(completion_cycle, old_value)`.
@@ -1014,8 +460,8 @@ impl Machine {
         t: Cycle,
     ) -> Result<(Cycle, u32), MachineError> {
         let line = addr.line();
-        self.note_msg(cluster, line, MessageClass::UncachedAtomic, t);
-        let bank = self.bank_of(line);
+        access::note_msg(self, cluster, line, MessageClass::UncachedAtomic, t);
+        let bank = access::bank_of(self, line);
         let t_arr = self.noc.request(cluster, bank, t);
         let mut tb = self.l3_ports[bank.0 as usize].grant(t_arr) + self.cfg.l3_latency;
 
@@ -1024,19 +470,19 @@ impl Machine {
         if self.dirs.is_some() {
             let entry = self.dirs.as_mut().expect("present")[bank.0 as usize].remove(tb, line);
             if let Some(e) = entry {
-                let done = self.directory_eviction(bank, line, e, tb);
+                let done = access::directory_eviction(self, bank, line, e, tb);
                 tb = tb.max(done);
             }
         }
 
         let (old, new) = self.l3_rmw(bank, addr, kind, operand, &mut tb);
-        self.trace_kind(tb, line, "atomic", format_args!(
+        self.trace(tb, line, "atomic", format_args!(
             "by {cluster} {kind:?} w{} {old:#x}->{new:#x}", addr.word_index()
         ));
 
         // Directory snoop of the fine-grain tables (§3.6) — per-process
         // tables each cover their own snooped range (§3.5).
-        if self.mode == CohMode::Cohesion {
+        if self.cfg.design.mode == CohMode::Cohesion {
             let fine = self
                 .processes
                 .iter()
@@ -1073,9 +519,9 @@ impl Machine {
         to: Domain,
         t: Cycle,
     ) -> Result<Cycle, MachineError> {
-        debug_assert_eq!(self.bank_of(line), bank, "transition at the wrong home bank");
+        debug_assert_eq!(access::bank_of(self, line), bank, "transition at the wrong home bank");
         let clusters = self.cfg.clusters();
-        self.trace_kind(t, line, "transition", format_args!("to {to:?}"));
+        self.trace(t, line, "transition", format_args!("to {to:?}"));
         let mut done = t;
         self.metrics.sample_add("transitions", t, 1);
         match to {
@@ -1094,7 +540,7 @@ impl Machine {
                     HwToSw::Case1aUntracked => {}
                     HwToSw::Case2aShared { sharers } => {
                         for s in sharers {
-                            done = done.max(self.probe(bank, s, line, true, t));
+                            done = done.max(access::probe(self, bank, s, line, true, false, t));
                         }
                         self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
                     }
@@ -1104,7 +550,7 @@ impl Machine {
                             None => (0..clusters).map(ClusterId).collect(),
                         };
                         for o in targets {
-                            done = done.max(self.probe(bank, o, line, true, t));
+                            done = done.max(access::probe(self, bank, o, line, true, false, t));
                         }
                         self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
                     }
@@ -1131,14 +577,14 @@ impl Machine {
                         },
                     };
                     views.push(view);
-                    self.note_msg(target, line, MessageClass::ProbeResponse, t_at_l2);
+                    access::note_msg(self, target, line, MessageClass::ProbeResponse, t_at_l2);
                     t_views = t_views.max(self.noc.request(target, bank, t_at_l2));
                 }
                 done = done.max(t_views);
                 let tracking = self.dirs.as_ref().expect("present")[bank.0 as usize]
                     .config()
                     .tracking;
-                let class = self.classify(line);
+                let class = classify(&self.processes, line);
                 let case = classify_sw_to_hw(&views);
                 self.metrics.inc(match case {
                     SwToHw::Case1bNotPresent => "transition/case_1b_not_present",
@@ -1163,7 +609,7 @@ impl Machine {
                     }
                     SwToHw::Case3bSingleDirty { owner, readers } => {
                         for r in readers {
-                            done = done.max(self.probe_with(bank, r, line, true, true, t));
+                            done = done.max(access::probe(self, bank, r, line, true, true, t));
                         }
                         let l = self.l2[owner.0 as usize].peek_mut(line).expect("owner");
                         l.incoherent = false;
@@ -1225,7 +671,7 @@ impl Machine {
         let victim =
             self.dirs.as_mut().expect("present")[bank.0 as usize].insert(*done, line, entry);
         if let Some((vline, ventry)) = victim {
-            *done = (*done).max(self.directory_eviction(bank, vline, ventry, *done));
+            *done = (*done).max(access::directory_eviction(self, bank, vline, ventry, *done));
         }
     }
 
@@ -1245,147 +691,16 @@ impl Machine {
             let c = wcl.0 as usize;
             let t_at_l2 = self.noc.reply(bank, wcl, t);
             if let Some(ev) = self.l2[c].invalidate(line) {
-                self.l3_write_words(bank, line, &ev.data, ev.dirty_words, t_at_l2);
+                access::l3_write_words(self, bank, line, &ev.data, ev.dirty_words, t_at_l2);
             }
-            self.back_invalidate_l1(wcl, line);
-            self.note_msg(wcl, line, MessageClass::ProbeResponse, t_at_l2);
+            access::back_invalidate_l1(self, wcl, line);
+            access::note_msg(self, wcl, line, MessageClass::ProbeResponse, t_at_l2);
             done = done.max(self.noc.request(wcl, bank, t_at_l2));
         }
         for &r in readers {
-            done = done.max(self.probe_with(bank, r, line, true, true, t));
+            done = done.max(access::probe(self, bank, r, line, true, true, t));
         }
         done
-    }
-
-    /// Executes the SWcc flush (writeback) instruction for `line`.
-    /// Non-blocking: the dirty words travel to the L3 off the critical path.
-    pub fn flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let t2 = self.l2_ports[c].grant(t + 1);
-        self.instr_stats[c].writebacks_issued += 1;
-        // The flush instruction only applies to SWcc lines: hardware-managed
-        // lines are written back by the protocol, and letting user-level
-        // cache ops touch them would break the directory's bookkeeping.
-        let wb = match self.l2[c].peek_mut(line) {
-            Some(l) if l.incoherent && l.dirty_words != 0 => {
-                self.instr_stats[c].writebacks_useful += 1;
-                let data = l.data;
-                let mask = l.dirty_words;
-                l.clean();
-                Some((data, mask))
-            }
-            Some(_) | None => None,
-        };
-        if let Some((data, mask)) = wb {
-            self.note_msg(cluster, line, MessageClass::SoftwareFlush, t2);
-            let bank = self.bank_of(line);
-            let t_arr = self.noc.request(cluster, bank, t2);
-            self.l3_write_words(bank, line, &data, mask, t_arr);
-        }
-        t2 + 1
-    }
-
-    /// Executes the SWcc invalidate instruction for `line`. Local only; no
-    /// message is ever sent (§2.1).
-    pub fn invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Cycle {
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let t2 = self.l2_ports[c].grant(t + 1);
-        self.instr_stats[c].invalidations_issued += 1;
-        if !self.profiler.is_empty() {
-            self.profiler.note_invalidation(line);
-        }
-        // Like flush, the invalidate instruction only applies to SWcc lines:
-        // discarding a hardware-coherent (possibly Modified) line would
-        // violate the directory's guarantees, so the hardware ignores it.
-        if self.l2[c].peek(line).is_some_and(|l| l.incoherent) {
-            self.instr_stats[c].invalidations_useful += 1;
-            self.l2[c].invalidate(line);
-            self.back_invalidate_l1(cluster, line);
-        }
-        t2 + 1
-    }
-
-    /// Instruction fetch of the line at `addr` (code).
-    pub fn ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Cycle {
-        let line = addr.line();
-        if self.l1i[core.0 as usize].access(line).is_some() {
-            return t; // overlapped with execution
-        }
-        let cluster = core.cluster(self.cfg.cores_per_cluster);
-        let c = cluster.0 as usize;
-        let mut t2 = self.l2_ports[c].grant(t + 1) + self.cfg.l2_latency;
-        let in_l2 = self.l2[c].access(line).is_some();
-        if !in_l2 {
-            let (t3, data, grant) =
-                self.fetch_line(cluster, line, false, MessageClass::InstructionRequest, t2);
-            t2 = t3;
-            if self.l2[c].peek(line).is_none() {
-                let (fresh, victim) = self.l2[c].allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction(cluster, v, t2);
-                }
-            }
-        }
-        let (fresh, _) = match self.l1i[core.0 as usize].peek(line) {
-            Some(_) => return t2,
-            None => self.l1i[core.0 as usize].allocate(line),
-        };
-        fresh.valid_words = 0xff;
-        t2
-    }
-
-    /// Handles an L2 capacity/conflict eviction (§2.1/§3.4 semantics:
-    /// silent for clean SWcc lines, read release for clean HWcc lines,
-    /// writeback for dirty lines).
-    fn handle_l2_eviction(&mut self, cluster: ClusterId, v: EvictedLine, t: Cycle) {
-        self.trace_kind(t, v.addr, "evict", format_args!(
-            "from {cluster} dirty={:#x} inc={}", v.dirty_words, v.incoherent
-        ));
-        self.back_invalidate_l1(cluster, v.addr);
-        let bank = self.bank_of(v.addr);
-        if v.dirty_words != 0 {
-            self.note_msg(cluster, v.addr, MessageClass::CacheEviction, t);
-            let t_arr = self.noc.request(cluster, bank, t);
-            self.l3_write_words(bank, v.addr, &v.data, v.dirty_words, t_arr);
-            if !v.incoherent {
-                // The owner is gone; the directory deallocates the entry.
-                if let Some(dirs) = self.dirs.as_mut() {
-                    dirs[bank.0 as usize].remove(t, v.addr);
-                }
-            }
-        } else if !v.incoherent {
-            if self.cfg.silent_evictions {
-                // Ablation: drop the clean line without telling the
-                // directory. The sharer set goes stale; future coherence
-                // actions probe caches that no longer hold the line and the
-                // entry lingers until a capacity eviction reclaims it —
-                // the cost structure §2.1/§3.2 describe.
-                return;
-            }
-            // Clean HWcc line: silent evictions are not supported — a read
-            // release informs the directory (§2.1).
-            self.note_msg(cluster, v.addr, MessageClass::ReadRelease, t);
-            let t_arr = self.noc.request(cluster, bank, t);
-            if let Some(dirs) = self.dirs.as_mut() {
-                let bank_dir = &mut dirs[bank.0 as usize];
-                let empty = match bank_dir.lookup(v.addr) {
-                    Some(e) => {
-                        e.sharers.remove(cluster);
-                        e.sharers.is_empty()
-                    }
-                    None => false,
-                };
-                if empty {
-                    bank_dir.remove(t_arr, v.addr);
-                }
-            }
-        }
-        // Clean SWcc line: dropped silently, no message (§2.1).
     }
 
     // ------------------------------------------------------------------
@@ -1773,7 +1088,7 @@ impl Machine {
         // Cohesion exclusivity: a line the fine-grain table calls SWcc must
         // never be directory-tracked (transitions are serialized at the
         // home bank, so outside a transition this is exact).
-        if self.mode == CohMode::Cohesion {
+        if self.cfg.design.mode == CohMode::Cohesion {
             for d in dirs.iter() {
                 for (line, _) in d.iter() {
                     assert_eq!(
@@ -1808,52 +1123,188 @@ impl Machine {
     }
 }
 
+impl Access for Machine {
+    const GUARDED: bool = false;
+
+    fn config(&self) -> &MachineConfig {
+        &self.cfg
+    }
+    fn map(&self) -> &AddressMap {
+        &self.map
+    }
+    fn processes(&self) -> &[ProcessCtx] {
+        &self.processes
+    }
+    fn mem(&self) -> &MainMemory {
+        &self.mem
+    }
+    fn l1i(&mut self, core: CoreId) -> &mut Cache {
+        &mut self.l1i[core.0 as usize]
+    }
+    fn l1d(&mut self, core: CoreId) -> &mut Cache {
+        &mut self.l1d[core.0 as usize]
+    }
+    fn l2(&mut self, cluster: ClusterId) -> &mut Cache {
+        &mut self.l2[cluster.0 as usize]
+    }
+    fn l2_port(&mut self, cluster: ClusterId) -> &mut Throttle {
+        &mut self.l2_ports[cluster.0 as usize]
+    }
+    fn l2_msgs(&mut self, cluster: ClusterId) -> &mut MessageCounts {
+        &mut self.l2_msgs[cluster.0 as usize]
+    }
+    fn instr_stats(&mut self, cluster: ClusterId) -> &mut CoherenceInstrStats {
+        &mut self.instr_stats[cluster.0 as usize]
+    }
+    fn l3(&mut self, bank: BankId) -> &mut Cache {
+        &mut self.l3[bank.0 as usize]
+    }
+    fn l3_port(&mut self, bank: BankId) -> &mut Throttle {
+        &mut self.l3_ports[bank.0 as usize]
+    }
+    fn dir(&mut self, bank: BankId) -> Option<&mut DirectoryBank> {
+        self.dirs.as_mut().map(|d| &mut d[bank.0 as usize])
+    }
+    fn table_cache(&mut self, bank: BankId) -> Option<&mut Cache> {
+        self.table_cache.as_mut().map(|c| &mut c[bank.0 as usize])
+    }
+    fn request(&mut self, cluster: ClusterId, bank: BankId, now: Cycle) -> Cycle {
+        self.noc.request(cluster, bank, now)
+    }
+    fn reply(&mut self, bank: BankId, cluster: ClusterId, now: Cycle) -> Cycle {
+        self.noc.reply(bank, cluster, now)
+    }
+
+    fn dram_fill(&mut self, bank: BankId, line: LineAddr, t: &mut Cycle) -> [u32; WORDS_PER_LINE] {
+        let data = self.mem.read_line(line);
+        let svc = self.timeline.start();
+        *t = self.dram.access(*t, line).max(*t);
+        self.timeline.service("dram_service", svc, *t);
+        let (fresh, victim) = self.l3[bank.0 as usize].allocate(line);
+        fresh.fill_masked(&data, 0xff);
+        // A dirty L3 victim spills to memory.
+        if let Some(v) = victim.filter(|v| v.dirty_words != 0) {
+            self.dram_write(v.addr, &v.data, v.dirty_words, *t);
+        }
+        data
+    }
+
+    fn dram_write(&mut self, line: LineAddr, data: &[u32; WORDS_PER_LINE], mask: u8, t: Cycle) {
+        self.mem.write_line_masked(line, data, mask);
+        // Posted write: charge DRAM bandwidth, do not block the caller.
+        self.dram.posted_write(t, line);
+    }
+
+    fn uncached_atomic(
+        &mut self,
+        cluster: ClusterId,
+        addr: Addr,
+        kind: AtomicKind,
+        operand: u32,
+        t: Cycle,
+    ) -> Result<Cycle, Stop> {
+        self.atomic(cluster, addr, kind, operand, t)
+            .map(|(t, _)| t)
+            .map_err(Stop::Fail)
+    }
+
+    fn metrics_mut(&mut self) -> &mut Registry {
+        &mut self.metrics
+    }
+    fn profiler(&mut self) -> Option<&mut RegionProfiler> {
+        (!self.profiler.is_empty()).then_some(&mut self.profiler)
+    }
+    fn trace(&mut self, t: Cycle, line: LineAddr, kind: &'static str, what: std::fmt::Arguments<'_>) {
+        if self.tracelog.wants(line.0) {
+            self.tracelog.record(t, line.0, kind, what.to_string());
+        }
+    }
+    fn span_start(&self) -> Option<u64> {
+        self.timeline.start()
+    }
+    fn l3_serviced(&mut self, start: Option<u64>, issued: Cycle) {
+        self.timeline.service("l3_service", start, issued);
+    }
+}
+
+/// Unwraps the result of an operation the machine ran. The machine's
+/// guard is compiled out, so it never refuses.
+fn admitted<T>(r: Result<T, EscalationCause>) -> T {
+    r.unwrap_or_else(|cause| unreachable!("the machine refused an operation ({})", cause.label()))
+}
+
 // ----------------------------------------------------------------------
-// Sharded execution: per-cluster lanes
+// Region-table helpers, shared by the machine and its lane views
 // ----------------------------------------------------------------------
 
-/// Resolves the coherence domain of `line` from borrowed machine parts.
-/// This is [`Machine::domain_of`] in free-function form so a [`LaneCtx`]
-/// (which holds only its lane's slices plus shared read-only state) can
-/// call it too.
-fn resolve_domain(
+/// The process context owning `addr`, if any (processes own their
+/// slices; the tables themselves belong to their process).
+fn process_of(processes: &[ProcessCtx], addr: Addr) -> Option<&ProcessCtx> {
+    processes
+        .iter()
+        .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
+}
+
+/// The directory entry class of `line` (code, heap/global, stack).
+pub(crate) fn classify(processes: &[ProcessCtx], line: LineAddr) -> EntryClass {
+    match process_of(processes, line.base()) {
+        Some(p) => p.layout.classify(line.base()),
+        None => EntryClass::HeapGlobal,
+    }
+}
+
+/// How far a directory miss's region-table walk (§3.4) gets before the
+/// domain is known.
+pub(crate) enum Walk {
+    /// The design point settles it: pure HWcc or SWcc, or a line outside
+    /// every process slice (runtime scratch: HWcc, no table to consult).
+    Settled(Domain),
+    /// A coarse-table hit: SWcc.
+    Coarse,
+    /// The fine-grain table must be read.
+    Fine(FineTable),
+}
+
+/// The pure part of a directory miss's region-table walk for `line`.
+pub(crate) fn region_walk(mode: CohMode, processes: &[ProcessCtx], line: LineAddr) -> Walk {
+    match (mode, process_of(processes, line.base())) {
+        (CohMode::HWcc, _) | (CohMode::Cohesion, None) => Walk::Settled(Domain::HWcc),
+        (CohMode::SWcc, _) => Walk::Settled(Domain::SWcc),
+        (CohMode::Cohesion, Some(p)) if p.coarse.lookup(line.base()).is_some() => Walk::Coarse,
+        (CohMode::Cohesion, Some(p)) => Walk::Fine(p.fine),
+    }
+}
+
+/// Resolves the coherence domain of `line` as the hardware would (coarse
+/// table, then fine table; HWcc default) from borrowed machine parts,
+/// so the machine and its lane views share it.
+pub(crate) fn resolve_domain(
     mode: CohMode,
     processes: &[ProcessCtx],
     mem: &MainMemory,
     line: LineAddr,
 ) -> Domain {
-    match mode {
-        CohMode::SWcc => Domain::SWcc,
-        CohMode::HWcc => Domain::HWcc,
-        CohMode::Cohesion => {
-            let Some(p) = processes
-                .iter()
-                .find(|p| p.layout.owns(line.base()) || p.fine.covers(line.base()))
-            else {
-                // Outside every process slice (runtime scratch): HWcc
-                // default.
-                return Domain::HWcc;
-            };
-            if p.coarse.lookup(line.base()).is_some() {
-                Domain::SWcc
-            } else if p.fine.covers(line.base()) {
-                // The table itself is never L2-cached; treat as SWcc.
-                Domain::SWcc
-            } else {
-                p.fine.domain(mem, line)
-            }
-        }
+    match region_walk(mode, processes, line) {
+        Walk::Settled(domain) => domain,
+        // The table itself is never L2-cached; treat as SWcc.
+        Walk::Coarse => Domain::SWcc,
+        Walk::Fine(fine) if fine.covers(line.base()) => Domain::SWcc,
+        Walk::Fine(fine) => fine.domain(mem, line),
     }
 }
 
+// ----------------------------------------------------------------------
+// Sharded execution: per-cluster lanes
+// ----------------------------------------------------------------------
+
 /// Per-lane scratch state for the sharded executor: telemetry recorded
-/// off the serial thread by fast-path operations, folded back into the
+/// off the serial thread by phase-A operations, folded back into the
 /// machine registry in lane order at the end of the run
 /// ([`Machine::absorb_lane_scratches`]).
 #[derive(Debug)]
 pub struct LaneScratch {
-    /// Lane-local metrics. Only `latency/load` and `latency/store`
-    /// histogram records land here; histogram merges are commutative, so
+    /// Lane-local metrics: everything the operations record while a
+    /// lane runs them. Counter and histogram merges are commutative, so
     /// the fold order cannot be observed.
     pub metrics: Registry,
     /// Lane-local timeline buffer: phase A spans and escalation events
@@ -1862,50 +1313,39 @@ pub struct LaneScratch {
     pub timeline: cohesion_sim::timeline::LaneTimeline,
 }
 
-/// One cluster's slice of the machine, usable concurrently with the
-/// other lanes' slices.
+/// One cluster's view of the machine, usable concurrently with the
+/// other lanes' views in phase A of the sharded executor.
 ///
-/// A lane owns mutable access to its cluster's L1s, L2, L2 port
-/// throttle, message/instruction counters, **and the L3 banks (with
-/// their collocated directory slices, port throttles, table caches, and
-/// direct NoC links) it owns under the static [`BankOwnership`]
-/// partition**, plus shared *read-only* access to the configuration,
-/// region tables, and backing memory. The `try_*` methods attempt each
-/// core-visible operation on that state alone: they either complete it
-/// with effects byte-identical to the corresponding `Machine` method,
-/// or return `None` **without mutating anything**, in which case the
-/// caller must escalate the operation to the serial path
-/// (`Machine::load` etc.), which re-runs it from scratch.
+/// A lane reaches its cluster's L1s, L2, L2 port throttle and
+/// message/instruction counters, **the L3 banks it owns under the static
+/// [`BankOwnership`] partition** (with their directory slices, port
+/// throttles, table caches, and direct NoC links), and shared read-only
+/// configuration, region tables, and backing memory. The run loop drives
+/// the very operation bodies the [`Machine`] runs through a lane; the
+/// lane only adds a guard in front of each. The guard peeks at lane
+/// state and refuses, with the [`EscalationCause`] of the first resource
+/// out of reach, every operation whose action would touch anything else:
+/// a DRAM access, another lane's bank, a probe to another cluster, a
+/// directory victim, an uncached atomic, a machine-global recorder.
 ///
-/// The escalation contract is what keeps sharded runs deterministic: a
-/// `None` leaves no trace, so the serial replay observes exactly the
-/// state a serial-only engine would have produced for that operation.
-/// Ownership decisions depend only on the config-fixed [`AddressMap`]
-/// home function and the cluster count — never on host threads — so the
-/// phase-A/B split remains a function of simulated state alone.
+/// A refusal leaves no trace, so the serial replay on the machine
+/// observes exactly the state a serial-only engine would have produced
+/// for that operation. Ownership decisions depend only on the
+/// config-fixed [`AddressMap`] home function and the cluster count —
+/// never on host threads — so the phase-A/B split remains a function of
+/// simulated state alone.
 #[derive(Debug)]
 pub struct LaneCtx<'a> {
     cluster: ClusterId,
-    cores_per_cluster: u32,
-    l2_latency: Cycle,
-    l3_latency: Cycle,
-    word_granular_swcc: bool,
-    exclusive_state: bool,
-    silent_evictions: bool,
-    clusters: u32,
-    mode: CohMode,
+    cfg: &'a MachineConfig,
     map: AddressMap,
     ownership: BankOwnership,
-    /// `false` => every operation escalates: the trace log is armed and
-    /// all protocol records must happen serially, in canonical order.
+    /// `false` => the guard refuses everything: the trace log is armed
+    /// and all protocol records must happen serially, in canonical order.
     fast: bool,
-    /// Profiler active => invalidates escalate (the profiler is
-    /// machine-global state).
+    /// A region profiler (machine-global state) is armed: the guard
+    /// refuses every operation that would feed it.
     profiled: bool,
-    /// Lane-owned-bank servicing enabled ([`MachineConfig::lane_owned_l3`]).
-    /// `false` forces every line fetch to escalate — the `perfstat`
-    /// pre/post baseline.
-    lane_l3: bool,
     processes: &'a [ProcessCtx],
     mem: &'a MainMemory,
     l1i: &'a mut [Cache],
@@ -1940,711 +1380,244 @@ impl LaneCtx<'_> {
 
     /// Core index within this lane's L1 slices.
     fn local(&self, core: CoreId) -> usize {
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        (core.0 - self.cluster.0 * self.cores_per_cluster) as usize
+        debug_assert_eq!(self.cluster, core.cluster(self.cfg.cores_per_cluster));
+        (core.0 - self.cluster.0 * self.cfg.cores_per_cluster) as usize
     }
 
-    /// Lane-local replica of `Machine::l1d_fill_word`.
-    fn l1d_fill_word(&mut self, li: usize, line: LineAddr, w: usize, value: u32) {
-        let l1 = &mut self.l1d[li];
-        if let Some(l) = l1.peek_mut(line) {
-            l.data[w] = value;
-            l.valid_words |= 1 << w;
-            return;
-        }
-        let (fresh, _victim) = l1.allocate(line);
-        fresh.data[w] = value;
-        fresh.valid_words = 1 << w;
-        // L1D is write-through: victims are always clean, drop silently.
+    /// The slot of an owned `bank` in this lane's banked state.
+    fn slot(&self, bank: BankId) -> usize {
+        debug_assert!(self.ownership.owns(self.cluster.0, bank.0), "lane reached an unowned bank");
+        self.ownership.slot_of(bank.0)
     }
 
-    /// Lane-local replica of `Machine::back_invalidate_l1` (the lane's
-    /// L1D slice *is* the cluster's cores).
-    fn back_invalidate_l1(&mut self, line: LineAddr) {
-        for l1 in self.l1d.iter_mut() {
-            l1.invalidate(line);
-        }
-    }
-
-    /// Lane-local replica of `Machine::process_of` (pure).
-    fn process_of(&self, addr: Addr) -> Option<&ProcessCtx> {
-        self.processes
-            .iter()
-            .find(|p| p.layout.owns(addr) || p.fine.covers(addr))
-    }
-
-    /// Lane-local replica of `Machine::classify` (pure).
-    fn classify(&self, line: LineAddr) -> EntryClass {
-        match self.process_of(line.base()) {
-            Some(p) => p.layout.classify(line.base()),
-            None => EntryClass::HeapGlobal,
-        }
-    }
-
-    /// The escalation cause for an L2-miss line fetch that could not be
-    /// serviced in phase A: lane-local (the home bank is ours but a
-    /// fast-path precondition failed) vs. remote (another lane's bank).
-    pub fn l3_cause(&self, line: LineAddr) -> EscalationCause {
-        if self.ownership.owns(self.cluster.0, self.map.bank_of(line)) {
-            EscalationCause::L3Local
-        } else {
-            EscalationCause::L3Remote
-        }
-    }
-
-    /// Checks whether an L2-miss line fetch for `line` can be serviced
-    /// entirely within this lane: the home bank must be lane-owned, the
-    /// L3 must hold the line (a miss would touch the shared DRAM
-    /// model), and the required directory transition must be
+    /// Guard for an L2-miss line fetch of `line`: the home bank must be
+    /// lane-owned, the L3 must hold the line (a miss would fill from the
+    /// shared DRAM model), and the directory transition must be
     /// slice-local — no probes to other clusters, no directory victim.
-    /// Pure (peeks only), so a `None` caller escalates with nothing
-    /// mutated. Returns the owned bank's slot index.
-    fn can_fetch_owned(&self, line: LineAddr, exclusive: bool) -> Option<usize> {
-        if !self.lane_l3 {
-            return None; // fast path disabled: pre-change baseline
+    fn fetch_ok(&self, line: LineAddr, exclusive: bool) -> Result<(), EscalationCause> {
+        use EscalationCause::{Directory, L3Local, L3Remote};
+        let bank = self.map.bank_of(line);
+        if !self.ownership.owns(self.cluster.0, bank) {
+            return Err(L3Remote);
         }
+        let slot = self.ownership.slot_of(bank);
+        // A trace log or profiler (machine-global records), owned-bank
+        // servicing switched off, or a DRAM fill.
+        if !self.fast || self.profiled || !self.cfg.lane_owned_l3 || self.l3[slot].peek(line).is_none() {
+            return Err(L3Local);
+        }
+        let Some(dirs) = self.dirs.as_ref() else {
+            return Ok(()); // SWcc design point: no directory at all
+        };
+        if let Some(e) = dirs[slot].peek(line) {
+            let others = e
+                .sharers
+                .probe_targets(self.cfg.clusters())
+                .into_iter()
+                .any(|c| c != self.cluster);
+            return if others && (exclusive || e.state == DirState::Modified) {
+                Err(Directory) // probes to other clusters
+            } else {
+                Ok(())
+            };
+        }
+        // Directory miss: the region-table walk, by pure reads.
+        let domain = match region_walk(self.cfg.design.mode, self.processes, line) {
+            Walk::Settled(domain) => domain,
+            Walk::Coarse => Domain::SWcc,
+            Walk::Fine(fine) => {
+                let slot_f = fine.slot_of(line);
+                let tline = slot_f.word.line();
+                let tc_hit = self
+                    .table_cache
+                    .as_ref()
+                    .is_some_and(|tc| tc[slot].peek(tline).is_some());
+                if !tc_hit && self.l3[slot].peek(tline).is_none() {
+                    return Err(L3Local); // the table line needs a DRAM fill
+                }
+                fine.domain_at(self.mem, slot_f)
+            }
+        };
+        if domain == Domain::HWcc && dirs[slot].insert_victim_preview(line).is_some() {
+            return Err(Directory); // the victim's sharers need probes
+        }
+        Ok(())
+    }
+
+    /// Guard for the L2 victim that allocating `line` would displace:
+    /// none, or a clean line dropped without a message, is always local;
+    /// otherwise its writeback or read release must stay in the lane.
+    fn victim_ok(&self, line: LineAddr) -> Result<(), EscalationCause> {
+        match self.l2.victim_preview(line) {
+            Some(v) if v.dirty_words != 0 || !(v.incoherent || self.cfg.silent_evictions) => {
+                self.release_ok(v.addr, v.dirty_words != 0)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Guard for a writeback (`dirty`) or read release of `line` to its
+    /// home bank: the bank must be lane-owned and a writeback must merge
+    /// into an L3-resident line (a miss writes through to the shared
+    /// DRAM model).
+    fn release_ok(&self, line: LineAddr, dirty: bool) -> Result<(), EscalationCause> {
         if self.profiled {
-            return None; // note_msg feeds the machine-global profiler
+            return Err(EscalationCause::L3Local); // the message feeds the profiler
         }
         let bank = self.map.bank_of(line);
         if !self.ownership.owns(self.cluster.0, bank) {
-            return None; // another lane's bank: inherently cross-lane
+            return Err(EscalationCause::Noc);
         }
-        let slot = self.ownership.slot_of(bank);
-        if self.l3[slot].peek(line).is_none() {
-            return None; // DRAM fill: the DRAM model is shared
+        if dirty && self.l3[self.ownership.slot_of(bank)].peek(line).is_none() {
+            return Err(EscalationCause::L3Local);
         }
-        let Some(dirs) = self.dirs.as_ref() else {
-            return Some(slot); // SWcc design point: no directory at all
-        };
-        match dirs[slot].peek(line) {
-            Some(e) => {
-                let others = e
-                    .sharers
-                    .probe_targets(self.clusters)
-                    .into_iter()
-                    .any(|c| c != self.cluster);
-                if others && (exclusive || e.state == DirState::Modified) {
-                    return None; // probes to other clusters (shared NoC)
+        Ok(())
+    }
+}
+
+impl Access for LaneCtx<'_> {
+    const GUARDED: bool = true;
+
+    fn guard(&self, op: Guard) -> Result<(), EscalationCause> {
+        match op {
+            Guard::Load(core, addr) => {
+                let (line, w) = (addr.line(), addr.word_index());
+                let in_l1 = self.l1d[self.local(core)].peek(line).is_some_and(|l| l.word_valid(w));
+                if self.fast && (in_l1 || self.l2.peek(line).is_some_and(|l| l.word_valid(w))) {
+                    return Ok(());
                 }
-                Some(slot)
+                self.fetch_ok(line, false)?;
+                match self.l2.peek(line) {
+                    Some(_) => Ok(()), // a partial line fills in place
+                    None => self.victim_ok(line),
+                }
             }
-            None => {
-                // Directory miss: replay the §3.4 region-table walk with
-                // pure reads, and require any insertion to be victimless
-                // (a directory victim probes its sharers).
-                let proc = self
-                    .process_of(line.base())
-                    .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-                let domain = match (self.mode, proc) {
-                    (CohMode::HWcc, _) => Domain::HWcc,
-                    (CohMode::SWcc, _) => Domain::SWcc,
-                    (CohMode::Cohesion, None) => Domain::HWcc,
-                    (CohMode::Cohesion, Some((true, _))) => Domain::SWcc,
-                    (CohMode::Cohesion, Some((false, fine))) => {
-                        let slot_f = fine.slot_of(line);
-                        let tline = slot_f.word.line();
-                        let tc_hit = self
-                            .table_cache
-                            .as_ref()
-                            .is_some_and(|tc| tc[slot].peek(tline).is_some());
-                        if !tc_hit && self.l3[slot].peek(tline).is_none() {
-                            return None; // table line needs a DRAM fill
+            Guard::Ifetch(core, addr) => {
+                let line = addr.line();
+                let cached = self.l1i[self.local(core)].peek(line).is_some() || self.l2.peek(line).is_some();
+                if self.fast && cached {
+                    return Ok(());
+                }
+                self.fetch_ok(line, false)?;
+                self.victim_ok(line)
+            }
+            Guard::Store(_) if !self.fast => Err(EscalationCause::Directory),
+            Guard::Store(addr) => {
+                let line = addr.line();
+                match self.l2.peek(line) {
+                    Some(l) if l.incoherent || matches!(l.state, HwState::Exclusive | HwState::Modified) => Ok(()),
+                    Some(_) => self.fetch_ok(line, true), // ownership upgrade
+                    None => match resolve_domain(self.cfg.design.mode, self.processes, self.mem, line) {
+                        Domain::SWcc if self.cfg.word_granular_swcc => self.victim_ok(line),
+                        // Line-granular ablation: a fetch before the write,
+                        // which the lane never services.
+                        Domain::SWcc => self.fetch_ok(line, false).and(Err(EscalationCause::L3Local)),
+                        Domain::HWcc => {
+                            self.fetch_ok(line, true)?;
+                            self.victim_ok(line)
                         }
-                        fine.domain_at(self.mem, slot_f)
-                    }
-                };
-                match domain {
-                    Domain::SWcc => Some(slot),
-                    Domain::HWcc => {
-                        if dirs[slot].insert_victim_preview(line).is_some() {
-                            return None; // victim's sharers need probes
-                        }
-                        Some(slot)
-                    }
+                    },
                 }
             }
-        }
-    }
-
-    /// Checks whether the L2 victim that allocating `line` would displace
-    /// (if any) can be handled entirely within this lane. Pure (peeks
-    /// only). The serial arms of `Machine::handle_l2_eviction` map to:
-    ///
-    /// * no victim, or a clean SWcc victim — silent, always local;
-    /// * a clean HWcc victim under the `silent_evictions` ablation —
-    ///   dropped without a message, always local;
-    /// * a clean HWcc victim otherwise — a read release to the victim's
-    ///   home directory slice, local iff that bank is lane-owned;
-    /// * a dirty victim — a writeback merged at the victim's home L3
-    ///   bank, local iff that bank is lane-owned **and** the victim line
-    ///   is L3-resident (the miss arm of `l3_write_words` writes through
-    ///   to the shared DRAM model).
-    ///
-    /// The L2 index bits contain the bank-select bits at every supported
-    /// geometry, so a victim's home bank equals the fetched line's —
-    /// but the check goes through the [`AddressMap`] anyway.
-    fn victim_local(&self, line: LineAddr) -> bool {
-        let Some(v) = self.l2.victim_preview(line) else {
-            return true; // free way: no victim at all
-        };
-        if v.dirty_words == 0 && (v.incoherent || self.silent_evictions) {
-            return true; // dropped silently, no message
-        }
-        if self.profiled {
-            return false; // note_msg feeds the machine-global profiler
-        }
-        let bank = self.map.bank_of(v.addr);
-        if !self.ownership.owns(self.cluster.0, bank) {
-            return false; // the victim's home bank is another lane's
-        }
-        if v.dirty_words != 0 {
-            let slot = self.ownership.slot_of(bank);
-            if self.l3[slot].peek(v.addr).is_none() {
-                return false; // writeback would miss: shared DRAM model
-            }
-        }
-        true
-    }
-
-    /// Lane-local replica of `Machine::handle_l2_eviction` for a
-    /// precondition-checked victim ([`LaneCtx::victim_local`]): the
-    /// back-invalidate, message accounting, direct-link traversal, L3
-    /// writeback merge, and directory release happen in the serial order
-    /// with the serial counts.
-    fn handle_l2_eviction_owned(&mut self, v: EvictedLine, t: Cycle) {
-        self.back_invalidate_l1(v.addr);
-        let cluster = self.cluster;
-        let bank = self.map.bank_of(v.addr);
-        if v.dirty_words != 0 {
-            self.l2_msgs.record(MessageClass::CacheEviction);
-            self.scratch.metrics.sample_add("messages", t, 1);
-            let slot = self.ownership.slot_of(bank);
-            let _t_arr = self.noc.request_direct(slot, t);
-            // The `l3_write_words` hit arm (L3-resident by precondition):
-            // merge the dirty words into the owned bank's image.
-            let l = self.l3[slot].access(v.addr).expect("precondition: victim L3-resident");
-            for (i, &word) in v.data.iter().enumerate() {
-                if v.dirty_words & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-            if !v.incoherent {
-                // The owner is gone; the directory deallocates the entry.
-                if let Some(dirs) = self.dirs.as_mut() {
-                    dirs[slot].remove(t, v.addr);
-                }
-            }
-        } else if !v.incoherent {
-            if self.silent_evictions {
-                // Ablation: drop the clean line without telling the
-                // directory (the sharer set goes stale, as in serial).
-                return;
-            }
-            self.l2_msgs.record(MessageClass::ReadRelease);
-            self.scratch.metrics.sample_add("messages", t, 1);
-            let slot = self.ownership.slot_of(bank);
-            let t_arr = self.noc.request_direct(slot, t);
-            if let Some(dirs) = self.dirs.as_mut() {
-                let bank_dir = &mut dirs[slot];
-                let empty = match bank_dir.lookup(v.addr) {
-                    Some(e) => {
-                        e.sharers.remove(cluster);
-                        e.sharers.is_empty()
-                    }
-                    None => false,
-                };
-                if empty {
-                    bank_dir.remove(t_arr, v.addr);
-                }
-            }
-        }
-        // Clean SWcc line: dropped silently, no message (§2.1).
-    }
-
-    /// Lane-local replica of `Machine::fetch_line` for a
-    /// precondition-checked owned bank ([`LaneCtx::can_fetch_owned`]):
-    /// message accounting, direct-link traversal, port grant, directory
-    /// resolution, and the L3 access happen in the serial order with the
-    /// serial counts, so the committed state is byte-identical to an
-    /// escalate-and-replay of the same operation.
-    fn fetch_line_owned(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        exclusive: bool,
-        class: MessageClass,
-        t_issue: Cycle,
-    ) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
-        self.l2_msgs.record(class);
-        self.scratch.metrics.sample_add("messages", t_issue, 1);
-        let svc = self.scratch.timeline.start();
-        let t_arr = self.noc.request_direct(slot, t_issue);
-        let mut t = self.l3_ports[slot].grant(t_arr) + self.l3_latency;
-        let grant = if self.dirs.is_some() {
-            self.resolve_with_directory_owned(slot, line, exclusive, &mut t)
-        } else {
-            None // SWcc design point: everything is software-managed
-        };
-        let data = self.l3[slot].access(line).expect("precondition: L3 hit").data;
-        let t_reply = self.noc.reply_direct(slot, t);
-        self.scratch.metrics.record_latency("latency/fetch", t_reply - t_issue);
-        let lane = self.cluster.0;
-        self.scratch.timeline.service("l3_service", lane, svc, t_issue);
-        self.scratch.timeline.note_l3_fast();
-        (t_reply, data, grant)
-    }
-
-    /// Lane-local replica of `Machine::resolve_with_directory` for the
-    /// precondition-checked cases. Directory-call ordering and counts
-    /// (and hence LRU stamp streams — `lookup` bumps the bank's stamp
-    /// even on a miss) match the serial path exactly.
-    fn resolve_with_directory_owned(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        exclusive: bool,
-        t: &mut Cycle,
-    ) -> Option<HwState> {
-        let requester = self.cluster;
-        let clusters = self.clusters;
-        let tracking = self.dirs.as_ref().expect("caller checked")[slot]
-            .config()
-            .tracking;
-
-        let hit = self.dirs.as_mut().expect("present")[slot]
-            .lookup(line)
-            .is_some();
-        self.scratch.metrics.inc(if hit {
-            "directory/lookup_hits"
-        } else {
-            "directory/lookup_misses"
-        });
-        if hit {
-            let state = {
-                let e = self.dirs.as_mut().expect("present")[slot]
-                    .lookup(line)
-                    .expect("just hit");
-                debug_assert!(
-                    !(e.sharers
-                        .probe_targets(clusters)
-                        .into_iter()
-                        .any(|c| c != requester)
-                        && (exclusive || e.state == DirState::Modified)),
-                    "precondition: no probes needed"
-                );
-                e.state
-            };
-            if exclusive {
-                let e = self.dirs.as_mut().expect("present")[slot]
-                    .lookup(line)
-                    .expect("still present");
-                e.state = DirState::Modified;
-                e.sharers = cohesion_protocol::sharers::SharerSet::empty(tracking, clusters);
-                e.sharers.add(requester, tracking);
-                return Some(HwState::Modified);
-            }
-            if state == DirState::Modified {
-                // The requester already owns the line and is fetching
-                // words its partial copy lacks (possible after a case-3b
-                // transition): ownership retained, no third lookup.
-                return Some(HwState::Modified);
-            }
-            let e = self.dirs.as_mut().expect("present")[slot]
-                .lookup(line)
-                .expect("still present");
-            e.state = state;
-            e.sharers.add(requester, tracking);
-            return Some(HwState::Shared);
-        }
-
-        // Directory miss: the §3.4 region-table walk, slice-local by
-        // precondition.
-        let proc = self
-            .process_of(line.base())
-            .map(|p| (p.coarse.lookup(line.base()).is_some(), p.fine));
-        let domain = match (self.mode, proc) {
-            (CohMode::HWcc, _) => Domain::HWcc,
-            (CohMode::SWcc, _) => Domain::SWcc,
-            (CohMode::Cohesion, None) => Domain::HWcc,
-            (CohMode::Cohesion, Some((in_coarse, fine))) => {
-                if in_coarse {
-                    self.scratch.metrics.inc("table/coarse_hits");
-                    Domain::SWcc
-                } else {
-                    let slot_f = fine.slot_of(line);
-                    let tline = slot_f.word.line();
-                    let tt = *t + 1;
-                    let tc_hit = match self.table_cache.as_mut() {
-                        Some(tc) => tc[slot].access(tline).is_some(),
-                        None => false,
-                    };
-                    self.scratch.metrics.inc("table/fine_lookups");
-                    if tc_hit {
-                        self.scratch.metrics.inc("table/fine_cache_hits");
-                    }
-                    if !tc_hit {
-                        // `l3_read_line` on a precondition-guaranteed
-                        // hit: the access refreshes LRU/stats and the
-                        // time is unchanged.
-                        let resident = self.l3[slot].access(tline).is_some();
-                        debug_assert!(resident, "precondition: table line resident");
-                        if let Some(tc) = self.table_cache.as_mut() {
-                            let (fresh, _) = tc[slot].allocate(tline);
-                            fresh.valid_words = 0xff;
-                        }
-                    }
-                    *t = tt;
-                    fine.domain_at(self.mem, slot_f)
-                }
-            }
-        };
-        match domain {
-            Domain::SWcc => None,
-            Domain::HWcc => {
-                let class = self.classify(line);
-                let grant = if exclusive {
-                    HwState::Modified
-                } else if self.exclusive_state {
-                    HwState::Exclusive
-                } else {
-                    HwState::Shared
-                };
-                let entry = match grant {
-                    HwState::Shared => DirEntry::shared(requester, tracking, clusters, class),
-                    _ => DirEntry::modified(requester, tracking, clusters, class),
-                };
-                let victim = self.dirs.as_mut().expect("present")[slot].insert(*t, line, entry);
-                debug_assert!(victim.is_none(), "precondition: victimless insertion");
-                Some(grant)
-            }
-        }
-    }
-
-    /// Attempts a load entirely within the lane. `Some` mirrors
-    /// `Machine::load`'s L1-hit, L2-hit, **and owned-bank L2-miss**
-    /// returns exactly; `None` means the fetch needs global state
-    /// (another lane's bank, DRAM, probes, a victim homed on an unowned
-    /// bank) and nothing was touched.
-    pub fn try_load(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Option<(Cycle, u32)> {
-        if !self.fast {
-            return None;
-        }
-        let line = addr.line();
-        let w = addr.word_index();
-        let li = self.local(core);
-        // Classify with pure peeks before mutating anything.
-        let l1_ok = self.l1d[li].peek(line).is_some_and(|l| l.word_valid(w));
-        let l2_ok = self.l2.peek(line).is_some_and(|l| l.word_valid(w));
-        let mut fetch_slot = None;
-        if !l1_ok && !l2_ok {
-            // L2 miss: serviceable in phase A only at an owned bank with
-            // a slice-local directory transition and (when the line is
-            // absent, not just partial) a lane-locally handleable victim.
-            let slot = self.can_fetch_owned(line, false)?;
-            if self.l2.peek(line).is_none() && !self.victim_local(line) {
-                return None;
-            }
-            fetch_slot = Some(slot);
-        }
-        // L1D (same access/count order as the serial path).
-        if let Some(l) = self.l1d[li].access(line) {
-            if l.word_valid(w) {
-                return Some((t + 1, l.data[w]));
-            }
-        }
-        let t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let (t2, v) = match fetch_slot {
-            None => {
-                // L2 hit with the word present.
-                let l = self.l2.access(line).expect("classified as an L2 hit");
-                debug_assert!(l.word_valid(w));
-                (t2, l.data[w])
-            }
-            Some(slot) => {
-                // The serial classification access (partial hit or miss).
-                let word_absent = !self.l2.access(line).is_some_and(|l| l.word_valid(w));
-                debug_assert!(word_absent, "classified as needing a fetch");
-                let (t_done, data, grant) =
-                    self.fetch_line_owned(slot, line, false, MessageClass::ReadRequest, t2);
-                let value = match self.l2.peek_mut(line) {
-                    Some(l) => {
-                        l.fill_masked(&data, 0xff);
-                        if grant.is_none() {
-                            l.incoherent = true;
-                        }
-                        l.data[w]
-                    }
-                    None => {
-                        let (fresh, victim) = self.l2.allocate(line);
-                        fresh.fill_masked(&data, 0xff);
-                        fresh.incoherent = grant.is_none();
-                        fresh.state = grant.unwrap_or(HwState::Shared);
-                        let value = fresh.data[w];
-                        if let Some(v) = victim {
-                            self.handle_l2_eviction_owned(v, t_done);
-                        }
-                        value
-                    }
-                };
-                (t_done, value)
-            }
-        };
-        self.l1d_fill_word(li, line, w, v);
-        self.scratch.metrics.record_latency("latency/load", t2 - t);
-        Some((t2, v))
-    }
-
-    /// Attempts a store entirely within the lane: an L2 write hit, a
-    /// word-granular SWcc write-allocate whose victim (if any) is
-    /// lane-locally handleable, or — at a lane-owned home bank with a
-    /// slice-local directory transition — an ownership upgrade or HWcc
-    /// write miss. Cross-lane banks, probes, DRAM fills, and victims
-    /// homed on unowned banks escalate untouched.
-    pub fn try_store(&mut self, core: CoreId, addr: Addr, value: u32, t: Cycle) -> Option<Cycle> {
-        if !self.fast {
-            return None;
-        }
-        let line = addr.line();
-        let w = addr.word_index();
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-
-        enum Fast {
-            WriteNow,
-            Upgrade(usize),
-            MissSw,
-            MissHw(usize),
-        }
-        // Classify with pure peeks before mutating anything.
-        let plan = match self.l2.peek(line) {
-            Some(l) => {
-                if l.state == HwState::Exclusive || l.incoherent || l.state == HwState::Modified {
-                    Fast::WriteNow
-                } else {
-                    // Shared HWcc: the ownership upgrade is slice-local
-                    // when the home bank is ours and no other cluster
-                    // holds the line.
-                    Fast::Upgrade(self.can_fetch_owned(line, true)?)
-                }
-            }
-            None => match resolve_domain(self.mode, self.processes, self.mem, line) {
-                Domain::SWcc => {
-                    if !self.word_granular_swcc {
-                        return None; // line-granular ablation: fetch first
-                    }
-                    // The allocation's victim must also complete locally
-                    // (silent, or at a lane-owned home bank).
-                    if !self.victim_local(line) {
-                        return None;
-                    }
-                    Fast::MissSw
-                }
-                Domain::HWcc => {
-                    let slot = self.can_fetch_owned(line, true)?;
-                    if !self.victim_local(line) {
-                        return None;
-                    }
-                    Fast::MissHw(slot)
-                }
+            Guard::Flush(_) if !self.fast => Err(EscalationCause::Noc),
+            Guard::Flush(line) => match self.l2.peek(line) {
+                Some(l) if l.incoherent && l.dirty_words != 0 => self.release_ok(line, true),
+                _ => Ok(()),
             },
-        };
-
-        // Commit, replicating `Machine::store`'s mutation order.
-        let t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let t_done = match plan {
-            Fast::WriteNow => {
-                let l = self.l2.access(line).expect("classified as a hit");
-                if l.state == HwState::Exclusive {
-                    // The silent E->M upgrade the MESI ablation buys.
-                    l.state = HwState::Modified;
-                }
-                l.write_word(w, value);
-                t2
-            }
-            Fast::Upgrade(slot) => {
-                // The serial classification access (a Shared hit).
-                let present = self.l2.access(line).is_some();
-                debug_assert!(present, "classified as a Shared hit");
-                let (_t3, _data, grant) =
-                    self.fetch_line_owned(slot, line, true, MessageClass::WriteRequest, t2);
-                let l = self.l2.peek_mut(line).expect("still present");
-                debug_assert!(grant.is_some());
-                l.state = HwState::Modified;
-                l.write_word(w, value);
-                t2 + 1
-            }
-            Fast::MissSw => {
-                let missed = self.l2.access(line).is_none();
-                debug_assert!(missed, "classified as a miss");
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.incoherent = true;
-                fresh.write_word(w, value);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t2);
-                }
-                t2
-            }
-            Fast::MissHw(slot) => {
-                let missed = self.l2.access(line).is_none();
-                debug_assert!(missed, "classified as a miss");
-                let (t3, data, grant) =
-                    self.fetch_line_owned(slot, line, true, MessageClass::WriteRequest, t2);
-                debug_assert!(grant.is_some(), "fine table and L2 state disagree");
-                // The fetch does not touch the L2, so peek_mut is still
-                // `None`: the serial allocate arm.
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.state = HwState::Modified;
-                fresh.write_word(w, value);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t3);
-                }
-                t2 + 1
-            }
-        };
-        // Sibling L1D write-through snoop (cluster-local by
-        // construction: the lane's L1D slice is the cluster).
-        for l1 in self.l1d.iter_mut() {
-            if let Some(l) = l1.peek_mut(line) {
-                if l.word_valid(w) {
-                    l.data[w] = value;
-                }
-            }
+            Guard::Invalidate if !self.fast => Err(EscalationCause::Directory),
+            Guard::Invalidate if self.profiled => Err(EscalationCause::L3Local),
+            Guard::Invalidate => Ok(()),
         }
-        self.scratch.metrics.record_latency("latency/store", t_done - t);
-        Some(t_done)
     }
 
-    /// Attempts an instruction fetch entirely within the lane: an L1I
-    /// hit, an L1I miss filled from an L2 hit, or an L2 miss serviced at
-    /// a lane-owned L3 bank with a slice-local directory transition and
-    /// a lane-locally handleable L2 victim. Everything else escalates.
-    pub fn try_ifetch(&mut self, core: CoreId, addr: Addr, t: Cycle) -> Option<Cycle> {
-        if !self.fast {
-            return None;
-        }
-        let line = addr.line();
-        let li = self.local(core);
-        if self.l1i[li].peek(line).is_some() {
-            let hit = self.l1i[li].access(line).is_some();
-            debug_assert!(hit);
-            return Some(t); // overlapped with execution
-        }
-        let mut fetch_slot = None;
-        if self.l2.peek(line).is_none() {
-            let slot = self.can_fetch_owned(line, false)?;
-            if !self.victim_local(line) {
-                return None;
-            }
-            fetch_slot = Some(slot);
-        }
-        let missed = self.l1i[li].access(line).is_none();
-        debug_assert!(missed);
-        let mut t2 = self.l2_ports.grant(t + 1) + self.l2_latency;
-        let in_l2 = self.l2.access(line).is_some();
-        match fetch_slot {
-            None => debug_assert!(in_l2, "classified as an L2 hit"),
-            Some(slot) => {
-                debug_assert!(!in_l2, "classified as an L2 miss");
-                let (t3, data, grant) =
-                    self.fetch_line_owned(slot, line, false, MessageClass::InstructionRequest, t2);
-                t2 = t3;
-                // The fetch does not touch the L2, so peek is still
-                // `None`: the serial allocate arm.
-                let (fresh, victim) = self.l2.allocate(line);
-                fresh.fill_masked(&data, 0xff);
-                fresh.incoherent = grant.is_none();
-                fresh.state = grant.unwrap_or(HwState::Shared);
-                if let Some(v) = victim {
-                    self.handle_l2_eviction_owned(v, t2);
-                }
-            }
-        }
-        let (fresh, _) = self.l1i[li].allocate(line);
-        fresh.valid_words = 0xff;
-        Some(t2)
+    fn config(&self) -> &MachineConfig {
+        self.cfg
     }
-
-    /// Attempts a flush entirely within the lane: the no-writeback case,
-    /// or a real writeback whose home bank is lane-owned and whose line
-    /// is L3-resident (an L3 miss writes through to the shared DRAM
-    /// model, so it escalates).
-    pub fn try_flush(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Option<Cycle> {
-        if !self.fast {
-            return None;
-        }
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        let dirty_wb = self
-            .l2
-            .peek(line)
-            .is_some_and(|l| l.incoherent && l.dirty_words != 0);
-        let mut wb_slot = None;
-        if dirty_wb {
-            if self.profiled {
-                return None; // note_msg feeds the machine-global profiler
-            }
-            let bank = self.map.bank_of(line);
-            if !self.ownership.owns(self.cluster.0, bank) {
-                return None; // another lane's bank
-            }
-            let slot = self.ownership.slot_of(bank);
-            if self.l3[slot].peek(line).is_none() {
-                return None; // write-through to the shared DRAM model
-            }
-            wb_slot = Some(slot);
-        }
-        let t2 = self.l2_ports.grant(t + 1);
-        self.instr_stats.writebacks_issued += 1;
-        if let Some(slot) = wb_slot {
-            self.instr_stats.writebacks_useful += 1;
-            let (data, mask) = {
-                let l = self.l2.peek_mut(line).expect("classified as dirty");
-                let data = l.data;
-                let mask = l.dirty_words;
-                l.clean();
-                (data, mask)
-            };
-            self.l2_msgs.record(MessageClass::SoftwareFlush);
-            self.scratch.metrics.sample_add("messages", t2, 1);
-            let _t_arr = self.noc.request_direct(slot, t2);
-            // The `l3_write_words` hit arm: merge the dirty words into
-            // the owned bank's image of the line.
-            let l = self.l3[slot].access(line).expect("precondition: L3 hit");
-            for (i, &word) in data.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    l.data[i] = word;
-                    l.valid_words |= 1 << i;
-                    l.dirty_words |= 1 << i;
-                }
-            }
-        }
-        Some(t2 + 1)
+    fn map(&self) -> &AddressMap {
+        &self.map
     }
-
-    /// Attempts an SWcc invalidate entirely within the lane. Always
-    /// local (the instruction never sends messages) unless the region
-    /// profiler — machine-global state — is active.
-    pub fn try_invalidate(&mut self, core: CoreId, line: LineAddr, t: Cycle) -> Option<Cycle> {
-        if !self.fast || self.profiled {
-            return None;
-        }
-        debug_assert_eq!(self.cluster, core.cluster(self.cores_per_cluster));
-        let t2 = self.l2_ports.grant(t + 1);
-        self.instr_stats.invalidations_issued += 1;
-        if self.l2.peek(line).is_some_and(|l| l.incoherent) {
-            self.instr_stats.invalidations_useful += 1;
-            self.l2.invalidate(line);
-            self.back_invalidate_l1(line);
-        }
-        Some(t2 + 1)
+    fn processes(&self) -> &[ProcessCtx] {
+        self.processes
+    }
+    fn mem(&self) -> &MainMemory {
+        self.mem
+    }
+    fn l1i(&mut self, core: CoreId) -> &mut Cache {
+        let i = self.local(core);
+        &mut self.l1i[i]
+    }
+    fn l1d(&mut self, core: CoreId) -> &mut Cache {
+        let i = self.local(core);
+        &mut self.l1d[i]
+    }
+    fn l2(&mut self, cluster: ClusterId) -> &mut Cache {
+        debug_assert_eq!(cluster, self.cluster);
+        self.l2
+    }
+    fn l2_port(&mut self, cluster: ClusterId) -> &mut Throttle {
+        debug_assert_eq!(cluster, self.cluster);
+        self.l2_ports
+    }
+    fn l2_msgs(&mut self, cluster: ClusterId) -> &mut MessageCounts {
+        debug_assert_eq!(cluster, self.cluster);
+        self.l2_msgs
+    }
+    fn instr_stats(&mut self, cluster: ClusterId) -> &mut CoherenceInstrStats {
+        debug_assert_eq!(cluster, self.cluster);
+        self.instr_stats
+    }
+    fn l3(&mut self, bank: BankId) -> &mut Cache {
+        let slot = self.slot(bank);
+        self.l3[slot]
+    }
+    fn l3_port(&mut self, bank: BankId) -> &mut Throttle {
+        let slot = self.slot(bank);
+        self.l3_ports[slot]
+    }
+    fn dir(&mut self, bank: BankId) -> Option<&mut DirectoryBank> {
+        let slot = self.slot(bank);
+        self.dirs.as_mut().map(|d| &mut *d[slot])
+    }
+    fn table_cache(&mut self, bank: BankId) -> Option<&mut Cache> {
+        let slot = self.slot(bank);
+        self.table_cache.as_mut().map(|c| &mut *c[slot])
+    }
+    fn request(&mut self, cluster: ClusterId, bank: BankId, now: Cycle) -> Cycle {
+        self.noc.request(cluster, bank, now)
+    }
+    fn reply(&mut self, bank: BankId, cluster: ClusterId, now: Cycle) -> Cycle {
+        self.noc.reply(bank, cluster, now)
+    }
+    fn dram_fill(&mut self, _: BankId, _: LineAddr, _: &mut Cycle) -> [u32; WORDS_PER_LINE] {
+        unreachable!("the lane guard admitted a DRAM fill")
+    }
+    fn dram_write(&mut self, _: LineAddr, _: &[u32; WORDS_PER_LINE], _: u8, _: Cycle) {
+        unreachable!("the lane guard admitted a DRAM write-through")
+    }
+    fn uncached_atomic(&mut self, _: ClusterId, _: Addr, _: AtomicKind, _: u32, _: Cycle) -> Result<Cycle, Stop> {
+        Err(EscalationCause::Atomic.into()) // uncached by design: serial
+    }
+    fn metrics_mut(&mut self) -> &mut Registry {
+        &mut self.scratch.metrics
+    }
+    fn profiler(&mut self) -> Option<&mut RegionProfiler> {
+        None // the guard refused whatever would feed it
+    }
+    fn trace(&mut self, _: Cycle, _: LineAddr, _: &'static str, _: std::fmt::Arguments<'_>) {
+        // The guard refuses everything while the trace log is armed.
+    }
+    fn span_start(&self) -> Option<u64> {
+        self.scratch.timeline.start()
+    }
+    fn l3_serviced(&mut self, start: Option<u64>, issued: Cycle) {
+        self.scratch.timeline.service("l3_service", self.cluster.0, start, issued);
+        self.scratch.timeline.note_l3_fast();
     }
 }
 
 impl Machine {
     /// One [`LaneScratch`] per cluster, armed exactly like the machine
-    /// registry so fast-path telemetry is recorded iff metrics are on.
+    /// registry so phase-A telemetry is recorded iff metrics are on.
     pub fn new_lane_scratches(&self) -> Vec<LaneScratch> {
         (0..self.cfg.clusters())
             .map(|_| LaneScratch {
@@ -2682,15 +1655,14 @@ impl Machine {
     ///
     /// Panics unless `scratches` has exactly one entry per cluster.
     pub fn lanes<'a>(&'a mut self, scratches: &'a mut [LaneScratch]) -> Vec<LaneCtx<'a>> {
-        let cfg = self.cfg;
-        let map = self.map;
-        let cpc = cfg.cores_per_cluster as usize;
-        let n = cfg.clusters() as usize;
+        let cpc = self.cfg.cores_per_cluster as usize;
+        let n = self.cfg.clusters() as usize;
         assert_eq!(scratches.len(), n, "one scratch per cluster");
         let fast = !self.tracelog.armed();
         let profiled = !self.profiler.is_empty();
-        let mode = self.mode;
         let Machine {
+            cfg,
+            map,
             processes,
             mem,
             l1i,
@@ -2706,6 +1678,7 @@ impl Machine {
             noc,
             ..
         } = self;
+        let cfg: &MachineConfig = cfg;
         let processes: &[ProcessCtx] = processes;
         let mem: &MainMemory = mem;
         let own = noc.ownership();
@@ -2744,19 +1717,11 @@ impl Machine {
         {
             out.push(LaneCtx {
                 cluster: ClusterId(c as u32),
-                cores_per_cluster: cfg.cores_per_cluster,
-                l2_latency: cfg.l2_latency,
-                l3_latency: cfg.l3_latency,
-                word_granular_swcc: cfg.word_granular_swcc,
-                exclusive_state: cfg.exclusive_state,
-                silent_evictions: cfg.silent_evictions,
-                clusters: cfg.clusters(),
-                mode,
-                map,
+                cfg,
+                map: *map,
                 ownership: own,
                 fast,
                 profiled,
-                lane_l3: cfg.lane_owned_l3,
                 processes,
                 mem,
                 l1i,
@@ -3069,6 +2034,152 @@ mod tests {
         assert_eq!(m.mem.read_word(a), 0, "still only in the L2");
         m.drain_for_verification();
         assert_eq!(m.mem.read_word(a), 0x5a5a);
+    }
+
+    // ------------------------------------------------------------------
+    // The lane guard: each refusal names its cause and leaves no trace
+    // ------------------------------------------------------------------
+
+    fn lane_machine() -> Machine {
+        machine(DesignPoint::cohesion(16 * 1024, 128))
+    }
+
+    /// The first line-aligned address at or after `base` whose home bank
+    /// belongs to lane `lane`.
+    fn homed(m: &Machine, base: Addr, lane: u32) -> Addr {
+        (0..)
+            .map(|i| Addr(base.0 + 32 * i))
+            .find(|a| m.noc.ownership().lane_of(m.map.bank_of(a.line())) == lane)
+            .expect("both lanes own banks")
+    }
+
+    /// What a refused operation must leave as it was.
+    fn footprint(m: &Machine, lines: &[Addr]) -> String {
+        let digests: Vec<u64> = lines.iter().map(|a| m.line_state_digest(a.line())).collect();
+        let grants: Vec<u64> = m.l2_ports.iter().map(Throttle::grants).collect();
+        let (l2, l3, msgs) = (m.l2_stats(), m.l3_stats(), m.total_messages());
+        format!("{digests:?} {l2:?} {l3:?} {msgs:?} {:?} {:?} {grants:?}", m.noc_stats(), m.dram_stats())
+    }
+
+    /// Drives `op` through lane 0 until it refuses; checks the cause and
+    /// that `lines` and every machine-wide counter are untouched.
+    fn refuses<T: std::fmt::Debug>(
+        m: &mut Machine,
+        lines: &[Addr],
+        cause: EscalationCause,
+        op: impl FnOnce(&mut LaneCtx<'_>) -> Result<T, EscalationCause>,
+    ) {
+        let before = footprint(m, lines);
+        let mut scratches = m.new_lane_scratches();
+        assert_eq!(op(&mut m.lanes(&mut scratches)[0]).err(), Some(cause));
+        assert_eq!(footprint(m, lines), before, "a refused {cause:?} operation left a trace");
+    }
+
+    #[test]
+    fn lane_refuses_fetches_from_another_lane_or_from_dram() {
+        let mut m = lane_machine();
+        let remote = homed(&m, heap_addr(&m, 0), 1);
+        refuses(&mut m, &[remote], EscalationCause::L3Remote, |l| access::load(l, CoreId(0), remote, 0));
+        assert!(m.load(CoreId(0), remote, 0).0 > 0);
+        let local = homed(&m, heap_addr(&m, 0), 0);
+        refuses(&mut m, &[local], EscalationCause::L3Local, |l| access::load(l, CoreId(0), local, 0));
+        assert!(m.load(CoreId(0), local, 0).0 > 0);
+    }
+
+    #[test]
+    fn lane_refuses_a_fetch_whose_table_line_needs_dram() {
+        let mut m = lane_machine();
+        let a = homed(&m, heap_addr(&m, 0), 0);
+        // The data line sits in its home L3 bank; its fine-table line does not.
+        let data = m.mem.read_line(a.line());
+        let bank = m.map.bank_of(a.line()) as usize;
+        m.l3[bank].allocate(a.line()).0.fill_masked(&data, 0xff);
+        refuses(&mut m, &[a], EscalationCause::L3Local, |l| access::load(l, CoreId(0), a, 0));
+        assert!(m.load(CoreId(0), a, 0).0 > 0);
+    }
+
+    #[test]
+    fn lane_refuses_a_dirty_victim_that_would_write_through() {
+        let mut m = lane_machine();
+        let x = homed(&m, inc_addr(&m, 0), 0);
+        m.load(CoreId(8), x, 0); // x and its table line enter the L3
+        // Fill x's L2 set in cluster 0 with dirty SWcc lines the L3 never saw.
+        let stride = m.cfg.l2.sets() * 32;
+        let way = |k: u32| Addr(x.0 + k * stride);
+        for k in 1..=m.cfg.l2.assoc {
+            m.store(CoreId(0), way(k), k, 0);
+        }
+        refuses(&mut m, &[x, way(1)], EscalationCause::L3Local, |l| access::load(l, CoreId(0), x, 10));
+        assert!(m.load(CoreId(0), x, 10).0 > 0);
+    }
+
+    #[test]
+    fn lane_refuses_anything_that_feeds_the_profiler() {
+        let mut m = lane_machine();
+        let a = inc_addr(&m, 0);
+        m.enable_profiling(vec![(a, 64)]);
+        refuses(&mut m, &[a], EscalationCause::L3Local, |l| access::invalidate(l, CoreId(0), a.line(), 0));
+        assert!(m.invalidate(CoreId(0), a.line(), 0) > 0);
+    }
+
+    #[test]
+    fn lane_refuses_probes_and_directory_victims() {
+        let mut m = lane_machine();
+        let a = homed(&m, heap_addr(&m, 0), 0);
+        m.store(CoreId(8), a, 7, 0); // cluster 1 owns the line
+        refuses(&mut m, &[a], EscalationCause::Directory, |l| access::load(l, CoreId(0), a, 100));
+        assert_eq!(m.load(CoreId(0), a, 100).1, 7);
+
+        // A one-entry directory slice: tracking y evicted x's entry, and
+        // re-tracking x would evict y's.
+        let mut m = machine(DesignPoint::cohesion(1, 1));
+        let x = homed(&m, heap_addr(&m, 0), 0);
+        let y = Addr(x.0 + 32);
+        m.load(CoreId(8), x, 0);
+        m.load(CoreId(8), y, 100);
+        refuses(&mut m, &[x, y], EscalationCause::Directory, |l| access::load(l, CoreId(0), x, 200));
+        assert!(m.load(CoreId(0), x, 200).0 > 0);
+    }
+
+    #[test]
+    fn lane_refuses_writebacks_and_releases_bound_for_another_lane() {
+        let mut m = lane_machine();
+        let z = homed(&m, inc_addr(&m, 0), 1);
+        m.store(CoreId(0), z, 5, 0);
+        refuses(&mut m, &[z], EscalationCause::Noc, |l| access::flush(l, CoreId(0), z.line(), 10));
+        assert!(m.flush(CoreId(0), z.line(), 10) > 0);
+
+        // A store whose L2 victim is a dirty SWcc line (writeback) or a
+        // clean HWcc line (read release), homed on lane 1.
+        for dirty in [true, false] {
+            let mut m = lane_machine();
+            let w = homed(&m, inc_addr(&m, 0), 1);
+            let base = if dirty { inc_addr(&m, 0) } else { heap_addr(&m, 0) };
+            let (off, stride) = (w.0 - inc_addr(&m, 0).0, m.cfg.l2.sets() * 32);
+            let way = |k: u32| Addr(base.0 + off + k * stride);
+            for k in 1..=m.cfg.l2.assoc {
+                if dirty {
+                    m.store(CoreId(0), way(k), k, 0);
+                } else {
+                    m.load(CoreId(0), way(k), 0);
+                }
+            }
+            refuses(&mut m, &[w, way(1)], EscalationCause::Noc, |l| access::store(l, CoreId(0), w, 9, 1000));
+            assert!(m.store(CoreId(0), w, 9, 1000) > 0);
+        }
+    }
+
+    #[test]
+    fn lane_refuses_uncached_atomics() {
+        let mut m = lane_machine();
+        let a = homed(&m, heap_addr(&m, 0), 0);
+        refuses(&mut m, &[a], EscalationCause::Atomic, |l| {
+            match l.uncached_atomic(ClusterId(0), a, AtomicKind::Add, 1, 0) {
+                Err(Stop::Escalate { cause }) => Err::<(), _>(cause),
+                other => panic!("the lane ran an atomic: {other:?}"),
+            }
+        });
+        assert!(m.atomic(ClusterId(0), a, AtomicKind::Add, 1, 0).is_ok());
     }
 }
 

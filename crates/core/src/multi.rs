@@ -19,15 +19,16 @@ use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
 use cohesion_runtime::api::CohesionApi;
 use cohesion_runtime::layout::LayoutConfig;
-use cohesion_runtime::task::{AtomicKind, Op, Task};
+use cohesion_runtime::task::{AtomicKind, Task};
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::ids::{ClusterId, CoreId};
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
 use cohesion_sim::Cycle;
 
+use crate::access::Stop;
 use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineError};
-use crate::run::{RunError, Workload};
+use crate::machine::Machine;
+use crate::run::{run_ops, CoreState, RunError, Workload, QUANTUM};
 
 /// Per-job results of a multiprogrammed run.
 #[derive(Debug, Clone)]
@@ -62,19 +63,6 @@ struct JobState<'a> {
     done: bool,
     finished_at: Cycle,
 }
-
-struct CoreState {
-    job: usize,
-    cluster: ClusterId,
-    stack_base: Addr,
-    code_base: Addr,
-    task: Option<(usize, usize)>,
-    fetch_counter: u32,
-    pc_line: u32,
-}
-
-const QUANTUM: Cycle = 64;
-const OPS_PER_FETCH: u32 = 8;
 
 /// Runs several workloads concurrently, space-partitioned over the
 /// machine's clusters. Returns one report per job, in input order.
@@ -142,23 +130,15 @@ pub fn run_workloads(
     machine.boot();
 
     // Cores, partitioned by their cluster's job.
+    let job_of = |cs: &CoreState| cs.cluster.0 as usize % n_jobs;
     let mut cores: Vec<CoreState> = (0..cfg.cores)
         .map(|i| {
-            let cluster = CoreId(i).cluster(cfg.cores_per_cluster);
-            let job = (cluster.0 as usize) % n_jobs;
-            CoreState {
-                job,
-                cluster,
-                stack_base: machine.layout_of(job).stack_base(i),
-                code_base: machine.layout_of(job).code.start,
-                task: None,
-                fetch_counter: 0,
-                pc_line: 0,
-            }
+            let job = CoreId(i).cluster(cfg.cores_per_cluster).0 as usize % n_jobs;
+            CoreState::new(i, cfg.cores_per_cluster, machine.layout_of(job))
         })
         .collect();
     for (i, c) in cores.iter().enumerate() {
-        jobs[c.job].cores.push(i as u32);
+        jobs[job_of(c)].cores.push(i as u32);
     }
 
     let mut events: EventQueue<u32> = EventQueue::new();
@@ -176,7 +156,7 @@ pub fn run_workloads(
         let Some((t, core_idx)) = events.pop() else {
             panic!("jobs pending but no events scheduled");
         };
-        let j = cores[core_idx as usize].job;
+        let j = job_of(&cores[core_idx as usize]);
         if jobs[j].done {
             continue;
         }
@@ -296,85 +276,29 @@ fn step_core(
     mut t: Cycle,
 ) -> Result<bool, RunError> {
     let budget = t + QUANTUM;
-    let core = CoreId(core_idx);
+    let cs = &mut cores[core_idx as usize];
     loop {
-        if cores[core_idx as usize].task.is_none() {
-            let cluster = cores[core_idx as usize].cluster;
-            let (t2, _) = machine.atomic(cluster, job.queue_addr, AtomicKind::Add, 1, t)?;
+        if cs.task.is_none() {
+            let (t2, _) = machine.atomic(cs.cluster, job.queue_addr, AtomicKind::Add, 1, t)?;
             t = t2 + machine.config().dequeue_overhead;
             if job.next_task >= job.tasks.len() {
-                let (t3, _) = machine.atomic(cluster, job.barrier_addr, AtomicKind::Add, 1, t)?;
+                machine.atomic(cs.cluster, job.barrier_addr, AtomicKind::Add, 1, t)?;
                 job.arrived += 1;
-                let _ = t3;
                 return Ok(job.arrived == job.cores.len());
             }
-            let idx = job.next_task;
+            cs.task = Some((job.next_task, 0));
             job.next_task += 1;
-            let cs = &mut cores[core_idx as usize];
-            cs.task = Some((idx, 0));
             cs.pc_line = 0;
             cs.fetch_counter = 0;
         }
-
-        let (task_idx, mut op_idx) = cores[core_idx as usize].task.expect("set above");
-        let n_ops = job.tasks[task_idx].ops.len();
-        while op_idx < n_ops {
-            if t >= budget {
-                cores[core_idx as usize].task = Some((task_idx, op_idx));
-                events.schedule(t, core_idx);
-                return Ok(false);
-            }
-            {
-                let cs = &mut cores[core_idx as usize];
-                if cs.fetch_counter == 0 {
-                    let line_idx = cs.pc_line % job.tasks[task_idx].code_lines;
-                    cs.pc_line = cs.pc_line.wrapping_add(1);
-                    let pc = Addr(cs.code_base.0 + 32 * line_idx);
-                    t = machine.ifetch(core, pc, t);
-                }
-                cs.fetch_counter = (cs.fetch_counter + 1) % OPS_PER_FETCH;
-            }
-            let op = job.tasks[task_idx].ops[op_idx];
-            op_idx += 1;
-            t = execute_op(machine, core, &cores[core_idx as usize], op, t)?;
+        run_ops(machine, cs, CoreId(core_idx), &mut t, budget, &job.tasks).map_err(|stop| match stop {
+            Stop::Fail(e) => RunError::Machine(e),
+            Stop::Escalate { .. } => unreachable!("the machine never refuses"),
+        })?;
+        if cs.task.is_some() {
+            // Budget expired mid-task.
+            events.schedule(t, core_idx);
+            return Ok(false);
         }
-        cores[core_idx as usize].task = None;
     }
-}
-
-fn execute_op(
-    machine: &mut Machine,
-    core: CoreId,
-    cs: &CoreState,
-    op: Op,
-    t: Cycle,
-) -> Result<Cycle, RunError> {
-    Ok(match op {
-        Op::Load { addr, expect } => {
-            let (t2, v) = machine.load(core, addr, t);
-            if let Some(e) = expect {
-                if v != e {
-                    return Err(RunError::Machine(MachineError::StaleLoad {
-                        addr,
-                        got: v,
-                        expected: e,
-                    }));
-                }
-            }
-            t2
-        }
-        Op::Store { addr, value } => machine.store(core, addr, value, t),
-        Op::Compute { cycles } => t + cycles as Cycle,
-        Op::Atomic {
-            addr,
-            kind,
-            operand,
-        } => machine.atomic(cs.cluster, addr, kind, operand, t)?.0,
-        Op::StackLoad { offset } => machine.load(core, cs.stack_base.offset(offset), t).0,
-        Op::StackStore { offset, value } => {
-            machine.store(core, cs.stack_base.offset(offset), value, t)
-        }
-        Op::Flush { line } => machine.flush(core, line, t),
-        Op::Invalidate { line } => machine.invalidate(core, line, t),
-    })
 }

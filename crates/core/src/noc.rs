@@ -118,6 +118,7 @@ impl Noc {
             .iter_mut()
             .zip(self.down_cluster.iter_mut())
             .map(|(up, down)| LaneNoc {
+                ownership: self.ownership,
                 up_cluster: up,
                 down_cluster: down,
                 up_bank: Vec::new(),
@@ -164,13 +165,13 @@ impl Noc {
 }
 
 /// One lane's mutable view of the interconnect: its own cluster links
-/// plus the bank links of every bank it owns, in slot order. Sending
-/// through a view is link-for-link identical to [`Noc::request`] /
-/// [`Noc::reply`] on an owned `(cluster, bank)` pair, so a transaction
-/// serviced in phase A leaves exactly the link state a serial replay
-/// would have left.
+/// plus the bank links of every bank it owns, in slot order. It routes
+/// only direct `(cluster, owned bank)` pairs, link-for-link as
+/// [`Noc::request`] / [`Noc::reply`] would, so a transaction serviced in
+/// phase A leaves exactly the link state a serial replay would have left.
 #[derive(Debug)]
 pub struct LaneNoc<'a> {
+    ownership: BankOwnership,
     up_cluster: &'a mut Link,
     down_cluster: &'a mut Link,
     up_bank: Vec<&'a mut Link>,
@@ -178,19 +179,19 @@ pub struct LaneNoc<'a> {
 }
 
 impl LaneNoc<'_> {
-    /// Sends one request from this lane's cluster to its owned bank at
-    /// `slot`; returns the arrival cycle (mirrors [`Noc::request`] on a
-    /// direct route).
-    pub fn request_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
+    /// Sends one request from this lane's cluster to a bank it owns;
+    /// returns the arrival cycle.
+    pub fn request(&mut self, cluster: ClusterId, bank: BankId, now: Cycle) -> Cycle {
+        debug_assert!(self.ownership.owns(cluster.0, bank.0), "not a direct route");
         let t = self.up_cluster.send(now);
-        self.up_bank[slot].send(t)
+        self.up_bank[self.ownership.slot_of(bank.0)].send(t)
     }
 
-    /// Sends one reply from the owned bank at `slot` back to this lane's
-    /// cluster; returns the arrival cycle (mirrors [`Noc::reply`] on a
-    /// direct route).
-    pub fn reply_direct(&mut self, slot: usize, now: Cycle) -> Cycle {
-        let t = self.down_bank[slot].send(now);
+    /// Sends one reply from a bank this lane owns back to its cluster;
+    /// returns the arrival cycle.
+    pub fn reply(&mut self, bank: BankId, cluster: ClusterId, now: Cycle) -> Cycle {
+        debug_assert!(self.ownership.owns(cluster.0, bank.0), "not a direct route");
+        let t = self.down_bank[self.ownership.slot_of(bank.0)].send(now);
         self.down_cluster.send(t)
     }
 }
@@ -278,10 +279,10 @@ mod tests {
         {
             let mut lanes = laned.lanes();
             for bank in 0..8u32 {
-                let lane = &mut lanes[own.lane_of(bank) as usize];
-                let slot = own.slot_of(bank);
-                lane_arrivals.push(lane.request_direct(slot, 5));
-                lane_arrivals.push(lane.reply_direct(slot, 9));
+                let cluster = ClusterId(own.lane_of(bank));
+                let lane = &mut lanes[cluster.0 as usize];
+                lane_arrivals.push(lane.request(cluster, BankId(bank), 5));
+                lane_arrivals.push(lane.reply(BankId(bank), cluster, 9));
             }
         }
         assert_eq!(arrivals, lane_arrivals);

@@ -4,6 +4,7 @@
 use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
 use cohesion_runtime::api::{CohesionApi, RuntimeError};
+use cohesion_runtime::layout::Layout;
 use cohesion_runtime::task::{AtomicKind, Op, Phase, RegionOp, Task};
 use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
@@ -13,6 +14,7 @@ use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, Span, Track, CREW_RIN
 use cohesion_sim::Cycle;
 use std::sync::Arc;
 
+use crate::access::{self, Access, Stop};
 use crate::config::MachineConfig;
 use crate::machine::{LaneCtx, LaneScratch, Machine, MachineError};
 use crate::report::RunReport;
@@ -173,23 +175,37 @@ impl From<MachineError> for RunError {
 /// slice lands at least `QUANTUM` cycles after the slice began, so a
 /// window of this width can be drained completely before any of the
 /// work it spawns becomes runnable — the conservative-PDES lookahead.
-const QUANTUM: Cycle = 64;
+pub(crate) const QUANTUM: Cycle = 64;
 
 /// Ops per instruction-fetch line: 32-byte lines hold 8 RISC instructions.
 const OPS_PER_FETCH: u32 = 8;
 
-struct CoreState {
-    cluster: ClusterId,
+/// One core's execution cursor.
+pub(crate) struct CoreState {
+    pub(crate) cluster: ClusterId,
     stack_base: Addr,
     code_base: Addr,
     /// Index into the phase's task vector + op cursor.
-    task: Option<(usize, usize)>,
+    pub(crate) task: Option<(usize, usize)>,
     /// Ops remaining before the next instruction fetch; `0` = fetch now.
     /// A countdown (rather than a wrap-around counter) so a slice that
     /// escalates mid-quantum resumes with the fetch stream intact.
-    fetch_counter: u32,
-    pc_line: u32,
-    arrived: bool,
+    pub(crate) fetch_counter: u32,
+    pub(crate) pc_line: u32,
+}
+
+impl CoreState {
+    /// An idle core `i` running code and stacks laid out by `layout`.
+    pub(crate) fn new(i: u32, cores_per_cluster: u32, layout: &Layout) -> Self {
+        CoreState {
+            cluster: CoreId(i).cluster(cores_per_cluster),
+            stack_base: layout.stack_base(i),
+            code_base: layout.code.start,
+            task: None,
+            fetch_counter: 0,
+            pc_line: 0,
+        }
+    }
 }
 
 /// Runs `workload` on a machine built from `cfg`; returns the full report.
@@ -251,14 +267,6 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
     }
 
     exec.finish(&mut machine);
-    if std::env::var_os("COHESION_OPCOST").is_some() {
-        let names = ["load", "store", "compute", "atomic", "stackld", "stackst", "flush", "inv", "?", "ifetch"];
-        for (i, (n, c)) in exec.op_cost.iter().enumerate() {
-            if *n > 0 {
-                eprintln!("opcost {:>8}: n={n:>9} avg={:.1}", names[i], *c as f64 / *n as f64);
-            }
-        }
-    }
     let cycles = exec.now();
     machine
         .metrics_mut()
@@ -280,26 +288,6 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
     ))
 }
 
-/// The outcome of one core slice attempted on the fast (lane-local)
-/// path during the parallel half of a window.
-enum FastOutcome {
-    /// The slice ran out of budget and was re-scheduled into its lane's
-    /// queue; the payload is the slice's completion cycle.
-    Yielded(Cycle),
-    /// The slice hit an operation that needs machine-global state; the
-    /// core's cursor is saved and the slice must resume on the serial
-    /// path at `t` with the remaining `budget`. `cause` names the
-    /// global resource that forced serialization (timeline
-    /// attribution; escalation behaviour never depends on it).
-    Escalate {
-        t: Cycle,
-        budget: Cycle,
-        cause: EscalationCause,
-    },
-    /// A verified load observed a stale value on the fast path.
-    Fail(MachineError),
-}
-
 /// One lane's bundle of work for a window: its slice of the machine, its
 /// event queue, its cores, and the window's events (canonical order).
 struct LaneWork<'a> {
@@ -307,20 +295,30 @@ struct LaneWork<'a> {
     queue: &'a mut EventQueue<u32>,
     cores: &'a mut [CoreState],
     core_base: u32,
-    op_cost: &'a mut [(u64, u64); 10],
     /// `(batch_idx, cycle, core)` — this lane's events, in `(cycle, seq)`
     /// order (the lane-projection of the batch's canonical order).
     events: Vec<(usize, Cycle, u32)>,
-    /// Slices needing serial attention, as `(batch_idx, core, outcome)`.
-    out: Vec<(usize, u32, FastOutcome)>,
-    /// Max completion cycle over fast-completed (yielded) slices.
+    /// Slices that stopped in phase A and need the serial path.
+    out: Vec<Halted>,
+    /// Max completion cycle over slices that finished their budget.
     max_end: Cycle,
 }
 
+/// A slice phase A stopped: `core` resumes on the machine at `t` with
+/// the rest of its `budget`, or the run fails.
+struct Halted {
+    /// Index of the slice's event in the window batch (canonical order).
+    bi: usize,
+    core: u32,
+    t: Cycle,
+    budget: Cycle,
+    stop: Stop,
+}
+
 /// Runs one lane's events for the window. Stops at the lane's first
-/// fast-path failure: a serial engine would never have executed this
-/// lane's later slices past an aborting error, and the merge in phase B
-/// surfaces the canonically-first error of the whole batch.
+/// failure: a serial engine would never have executed this lane's later
+/// slices past an aborting error, and the merge in phase B surfaces the
+/// canonically-first error of the whole batch.
 fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
     if w.events.is_empty() {
         return;
@@ -328,151 +326,107 @@ fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
     let lane = w.ctx.cluster().0;
     let window_cycle = w.events[0].1;
     let span_start = w.ctx.timeline().start();
-    for i in 0..w.events.len() {
-        let (bi, t, core) = w.events[i];
-        match fast_step(
-            &mut w.ctx, w.queue, w.cores, w.core_base, w.op_cost, core, t, tasks,
-        ) {
-            FastOutcome::Yielded(end) => {
+    for &(bi, t0, core) in &w.events {
+        let budget = t0 + QUANTUM;
+        let mut t = t0;
+        let cs = &mut w.cores[(core - w.core_base) as usize];
+        match lane_slice(&mut w.ctx, cs, CoreId(core), &mut t, budget, tasks) {
+            Ok(()) => {
+                w.queue.schedule(t, core);
                 w.ctx.timeline().note_fast();
-                w.max_end = w.max_end.max(end);
+                w.max_end = w.max_end.max(t);
             }
-            out @ FastOutcome::Escalate { .. } => {
-                if let FastOutcome::Escalate { t, cause, .. } = out {
+            Err(stop) => {
+                let failed = matches!(stop, Stop::Fail(_));
+                if let Stop::Escalate { cause } = stop {
                     w.ctx.timeline().note_escalation(lane, t, cause);
                 }
-                w.out.push((bi, core, out));
-            }
-            out @ FastOutcome::Fail(_) => {
-                w.out.push((bi, core, out));
-                w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
-                return;
+                w.out.push(Halted { bi, core, t, budget, stop });
+                if failed {
+                    break;
+                }
             }
         }
     }
     w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
 }
 
-/// Advances one core by up to [`QUANTUM`] cycles using only lane-local
-/// state. Mirrors `Exec::step_core` exactly, except that every operation
-/// goes through the [`LaneCtx`] `try_*` methods and anything they cannot
-/// complete locally escalates with the core's cursor saved and no state
-/// touched for the escalated operation.
-#[allow(clippy::too_many_arguments)]
-fn fast_step(
+/// One phase-A slice: [`run_ops`] on a lane view. A core that needs a
+/// task escalates, since dequeue and barrier traffic is uncached-atomic.
+fn lane_slice(
     ctx: &mut LaneCtx<'_>,
-    queue: &mut EventQueue<u32>,
-    cores: &mut [CoreState],
-    core_base: u32,
-    op_cost: &mut [(u64, u64); 10],
-    core_idx: u32,
-    t0: Cycle,
+    cs: &mut CoreState,
+    core: CoreId,
+    t: &mut Cycle,
+    budget: Cycle,
     tasks: &[Task],
-) -> FastOutcome {
-    let budget = t0 + QUANTUM;
-    let mut t = t0;
-    let core = CoreId(core_idx);
-    let li = (core_idx - core_base) as usize;
-    loop {
-        let Some((task_idx, mut op_idx)) = cores[li].task else {
-            // Dequeue and barrier traffic is uncached-atomic: global.
-            return FastOutcome::Escalate {
-                t,
-                budget,
-                cause: EscalationCause::TaskQueue,
-            };
-        };
-        let task = &tasks[task_idx];
-        let stack_base = cores[li].stack_base;
-        while op_idx < task.ops.len() {
-            if t >= budget {
-                cores[li].task = Some((task_idx, op_idx));
-                queue.schedule(t, core_idx);
-                return FastOutcome::Yielded(t);
-            }
-            // Instruction fetch stream: one line per OPS_PER_FETCH ops.
-            if cores[li].fetch_counter == 0 {
-                let line_idx = cores[li].pc_line % task.code_lines;
-                let pc = Addr(cores[li].code_base.0 + 32 * line_idx);
-                match ctx.try_ifetch(core, pc, t) {
-                    Some(t2) => {
-                        op_cost[9].0 += 1;
-                        op_cost[9].1 += t2 - t;
-                        t = t2;
-                        let cs = &mut cores[li];
-                        cs.pc_line = cs.pc_line.wrapping_add(1);
-                        cs.fetch_counter = OPS_PER_FETCH;
-                    }
-                    None => {
-                        cores[li].task = Some((task_idx, op_idx));
-                        return FastOutcome::Escalate {
-                            t,
-                            budget,
-                            cause: ctx.l3_cause(pc.line()),
-                        };
-                    }
-                }
-            }
-            let op = task.ops[op_idx];
-            // `Err` carries the escalation cause: which global resource
-            // the op needs (see `EscalationCause` for the taxonomy).
-            let done: Result<(usize, Cycle), EscalationCause> = match op {
-                Op::Load { addr, expect } => match ctx.try_load(core, addr, t) {
-                    Some((t2, v)) => {
-                        if let Some(e) = expect {
-                            if v != e {
-                                cores[li].task = Some((task_idx, op_idx));
-                                return FastOutcome::Fail(MachineError::StaleLoad {
-                                    addr,
-                                    got: v,
-                                    expected: e,
-                                });
-                            }
-                        }
-                        Ok((0, t2))
-                    }
-                    None => Err(ctx.l3_cause(addr.line())), // line fetch
-                },
-                Op::Store { addr, value } => ctx
-                    .try_store(core, addr, value, t)
-                    .map(|t2| (1, t2))
-                    .ok_or(EscalationCause::Directory),
-                Op::Compute { cycles } => Ok((2, t + cycles as Cycle)),
-                Op::Atomic { .. } => Err(EscalationCause::Atomic), // uncached: global
-                Op::StackLoad { offset } => ctx
-                    .try_load(core, stack_base.offset(offset), t)
-                    .map(|(t2, _)| (4, t2))
-                    .ok_or_else(|| ctx.l3_cause(stack_base.offset(offset).line())),
-                Op::StackStore { offset, value } => ctx
-                    .try_store(core, stack_base.offset(offset), value, t)
-                    .map(|t2| (5, t2))
-                    .ok_or(EscalationCause::Directory),
-                Op::Flush { line } => ctx
-                    .try_flush(core, line, t)
-                    .map(|t2| (6, t2))
-                    .ok_or(EscalationCause::Noc),
-                Op::Invalidate { line } => ctx
-                    .try_invalidate(core, line, t)
-                    .map(|t2| (7, t2))
-                    .ok_or(EscalationCause::Directory),
-            };
-            match done {
-                Ok((kind, t2)) => {
-                    op_cost[kind].0 += 1;
-                    op_cost[kind].1 += t2 - t;
-                    t = t2;
-                    op_idx += 1;
-                    cores[li].fetch_counter -= 1;
-                }
-                Err(cause) => {
-                    cores[li].task = Some((task_idx, op_idx));
-                    return FastOutcome::Escalate { t, budget, cause };
-                }
-            }
-        }
-        cores[li].task = None;
-        // Loop back: the next action is a dequeue, which escalates above.
+) -> Result<(), Stop> {
+    run_ops(ctx, cs, core, t, budget, tasks)?;
+    match cs.task {
+        Some(_) => Ok(()),
+        None => Err(EscalationCause::TaskQueue.into()),
     }
+}
+
+/// Runs `core`'s current task on `s` from `*t` — the one op loop of both
+/// phases: phase A runs it on a lane view, phase B and the serial
+/// engine on the machine.
+///
+/// Returns `Ok` when the budget expires (the task cursor is saved) or the
+/// task ends (`task` is left empty: the caller dequeues the next one),
+/// and the [`Stop`] of an operation that escalated or failed, with the
+/// cursor still on that operation and `*t` at its issue cycle.
+pub(crate) fn run_ops<S: Access>(
+    s: &mut S,
+    cs: &mut CoreState,
+    core: CoreId,
+    t: &mut Cycle,
+    budget: Cycle,
+    tasks: &[Task],
+) -> Result<(), Stop> {
+    while let Some((task_idx, op_idx)) = cs.task {
+        let task = &tasks[task_idx];
+        let Some(&op) = task.ops.get(op_idx) else {
+            cs.task = None;
+            break;
+        };
+        if *t >= budget {
+            break;
+        }
+        // Instruction fetch stream: one line per OPS_PER_FETCH ops.
+        if cs.fetch_counter == 0 {
+            let pc = Addr(cs.code_base.0 + 32 * (cs.pc_line % task.code_lines));
+            *t = access::ifetch(s, core, pc, *t)?;
+            cs.pc_line = cs.pc_line.wrapping_add(1);
+            cs.fetch_counter = OPS_PER_FETCH;
+        }
+        let stack = |offset| cs.stack_base.offset(offset);
+        *t = match op {
+            Op::Load { addr, expect } => {
+                let (t2, got) = access::load(s, core, addr, *t)?;
+                match expect {
+                    Some(expected) if got != expected => {
+                        return Err(Stop::Fail(MachineError::StaleLoad { addr, got, expected }));
+                    }
+                    _ => t2,
+                }
+            }
+            Op::Store { addr, value } => access::store(s, core, addr, value, *t)?,
+            Op::Compute { cycles } => *t + cycles as Cycle,
+            Op::Atomic {
+                addr,
+                kind,
+                operand,
+            } => s.uncached_atomic(cs.cluster, addr, kind, operand, *t)?,
+            Op::StackLoad { offset } => access::load(s, core, stack(offset), *t)?.0,
+            Op::StackStore { offset, value } => access::store(s, core, stack(offset), value, *t)?,
+            Op::Flush { line } => access::flush(s, core, line, *t)?,
+            Op::Invalidate { line } => access::invalidate(s, core, line, *t)?,
+        };
+        cs.task = Some((task_idx, op_idx + 1));
+        cs.fetch_counter -= 1;
+    }
+    Ok(())
 }
 
 /// The per-run execution engine (cores + queue + barrier), sharded.
@@ -481,23 +435,19 @@ fn fast_step(
 /// is drained in two phases:
 ///
 /// * **Phase A (parallel):** every cluster lane steps its own cores
-///   through the window on lane-local state only ([`fast_step`]), in the
+///   through the window ([`run_ops`] over a [`LaneCtx`]), in the
 ///   lane-projection of the batch's canonical `(cycle, lane, seq)`
-///   order. Anything touching global state (L3, directory, NoC,
-///   uncached atomics, task queues) escalates untouched.
+///   order. An operation whose guard refuses (it needs another lane's
+///   bank, DRAM, probes, an uncached atomic, a task queue) escalates
+///   untouched.
 /// * **Phase B (serial):** escalated slices resume on the full machine
-///   in canonical batch order.
+///   in canonical batch order ([`run_ops`] over the [`Machine`]).
 ///
 /// The batch composition, the A/B split, and both processing orders are
 /// functions of simulated state alone — never of the host thread count —
 /// so simulated results are byte-identical at any [`MachineConfig::shards`]
 /// value. `shards` only chooses how many host threads run phase A.
 struct Exec {
-    /// Per-op-kind `(count, total cycles)` latency accounting, reported to
-    /// stderr when `COHESION_OPCOST` is set.
-    op_cost: [(u64, u64); 10],
-    /// Per-lane `op_cost` shards, folded into `op_cost` by `finish`.
-    lane_op_cost: Vec<[(u64, u64); 10]>,
     cores: Vec<CoreState>,
     lanes: LaneQueues<u32>,
     /// Per-lane metrics scratches, absorbed into the machine by `finish`.
@@ -528,15 +478,7 @@ impl Exec {
     fn new(cfg: &MachineConfig, machine: &Machine, queue_addr: Addr) -> Self {
         let layout = machine.layout();
         let cores = (0..cfg.cores)
-            .map(|i| CoreState {
-                cluster: CoreId(i).cluster(cfg.cores_per_cluster),
-                stack_base: layout.stack_base(i),
-                code_base: layout.code.start,
-                task: None,
-                fetch_counter: 0,
-                pc_line: 0,
-                arrived: false,
-            })
+            .map(|i| CoreState::new(i, cfg.cores_per_cluster, layout))
             .collect();
         let n_lanes = cfg.clusters().max(1) as usize;
         // `shards = 0` means auto: size the crew from the host's available
@@ -555,8 +497,6 @@ impl Exec {
             ))
         });
         Exec {
-            op_cost: [(0, 0); 10],
-            lane_op_cost: vec![[(0, 0); 10]; n_lanes],
             cores,
             lanes: LaneQueues::new(n_lanes),
             scratches: machine.new_lane_scratches(),
@@ -583,18 +523,9 @@ impl Exec {
         self.now
     }
 
-    /// Folds per-lane accounting back into the run-wide totals (op-cost
-    /// shards and metrics scratches, both in fixed lane order).
+    /// Folds per-lane accounting back into the machine (metrics
+    /// scratches in fixed lane order, crew spans).
     fn finish(&mut self, machine: &mut Machine) {
-        for lane in &self.lane_op_cost {
-            for (i, (n, c)) in lane.iter().enumerate() {
-                self.op_cost[i].0 += n;
-                self.op_cost[i].1 += c;
-            }
-        }
-        for lane in self.lane_op_cost.iter_mut() {
-            *lane = [(0, 0); 10];
-        }
         machine.absorb_lane_scratches(&self.scratches);
         if let Some(trace) = &self.crew_trace {
             machine.timeline_mut().absorb_crew(trace);
@@ -629,7 +560,6 @@ impl Exec {
         self.arrived = 0;
         for c in self.cores.iter_mut() {
             c.task = None;
-            c.arrived = false;
             c.fetch_counter = 0;
         }
         for i in 0..self.cores.len() as u32 {
@@ -657,15 +587,13 @@ impl Exec {
                 .into_iter()
                 .zip(self.lanes.as_mut_slice().iter_mut())
                 .zip(self.cores.chunks_mut(self.cores_per_cluster))
-                .zip(self.lane_op_cost.iter_mut())
                 .zip(per_lane)
                 .enumerate()
-                .map(|(c, ((((ctx, queue), cores), op_cost), events))| LaneWork {
+                .map(|(c, (((ctx, queue), cores), events))| LaneWork {
                     ctx,
                     queue,
                     cores,
                     core_base: (c * self.cores_per_cluster) as u32,
-                    op_cost,
                     events,
                     out: Vec::new(),
                     max_end: 0,
@@ -689,7 +617,7 @@ impl Exec {
                     }
                 }
             }
-            let mut serial: Vec<(usize, u32, FastOutcome)> = Vec::new();
+            let mut serial: Vec<Halted> = Vec::new();
             for w in works.iter_mut() {
                 phase_end = phase_end.max(w.max_end);
                 serial.append(&mut w.out);
@@ -704,27 +632,23 @@ impl Exec {
             }
 
             // Phase B: escalated slices resume serially, in canonical
-            // batch order; the canonically-first error aborts the run.
-            serial.sort_unstable_by_key(|&(bi, _, _)| bi);
+            // batch order; the canonically-first failure aborts the run.
+            serial.sort_unstable_by_key(|h| h.bi);
             let span_b = (!serial.is_empty())
                 .then(|| machine.timeline().start())
                 .flatten();
-            let window_cycle = serial
-                .first()
-                .map(|&(_, _, ref out)| match *out {
-                    FastOutcome::Escalate { t, .. } => t,
-                    _ => 0,
-                })
-                .unwrap_or(0);
-            for (_bi, core, out) in serial {
-                match out {
-                    FastOutcome::Escalate { t, budget, cause: _ } => {
-                        let end =
-                            self.step_core(machine, core, t, budget, tasks, barrier_addr)?;
-                        phase_end = phase_end.max(end);
+            let window_cycle = serial.first().map_or(0, |h| h.t);
+            for Halted { core, mut t, budget, stop, .. } in serial {
+                let resumed = match stop {
+                    Stop::Escalate { .. } => {
+                        self.step_core(machine, core, &mut t, budget, tasks, barrier_addr)
                     }
-                    FastOutcome::Fail(e) => return Err(RunError::Machine(e)),
-                    FastOutcome::Yielded(_) => unreachable!("yields are not escalated"),
+                    failed => Err(failed),
+                };
+                match resumed {
+                    Ok(()) => phase_end = phase_end.max(t),
+                    Err(Stop::Fail(e)) => return Err(self.failure(core, t, e)),
+                    Err(Stop::Escalate { .. }) => unreachable!("the machine never refuses"),
                 }
             }
             if let Some(t0) = span_b {
@@ -746,29 +670,29 @@ impl Exec {
         Ok(())
     }
 
-    /// Advances one core on the full machine until `budget` expires, it
-    /// arrives at the barrier, or it errors. Returns the core's
-    /// barrier-arrival time when it arrives (else the current time).
+    /// Advances one core on the full machine from `*t` until `budget`
+    /// expires, it arrives at the barrier, or it fails. Leaves `*t` at the
+    /// core's barrier-arrival time when it arrives (else the current
+    /// time, or the failing operation's issue time).
     fn step_core(
         &mut self,
         machine: &mut Machine,
         core_idx: u32,
-        mut t: Cycle,
+        t: &mut Cycle,
         budget: Cycle,
         tasks: &[Task],
         barrier_addr: Addr,
-    ) -> Result<Cycle, RunError> {
-        let core = CoreId(core_idx);
+    ) -> Result<(), Stop> {
+        let ci = core_idx as usize;
         loop {
             // Need a task?
-            if self.cores[core_idx as usize].task.is_none() {
-                let cluster = self.cores[core_idx as usize].cluster;
+            if self.cores[ci].task.is_none() {
+                let cluster = self.cores[ci].cluster;
                 let picked = match self.queue_model {
                     crate::config::TaskQueueModel::Global => {
                         // One atomic to the single global queue word.
-                        let (t2, _old) =
-                            machine.atomic(cluster, self.queue_addr, AtomicKind::Add, 1, t)?;
-                        t = t2 + self.dequeue_overhead;
+                        *t = machine.uncached_atomic(cluster, self.queue_addr, AtomicKind::Add, 1, *t)?
+                            + self.dequeue_overhead;
                         if self.next_task >= self.task_count {
                             None
                         } else {
@@ -790,9 +714,8 @@ impl Exec {
                                 continue;
                             }
                             let qaddr = Addr(self.queue_addr.0 + 64 * victim as u32);
-                            let (t2, _old) =
-                                machine.atomic(cluster, qaddr, AtomicKind::Add, 1, t)?;
-                            t = t2 + self.dequeue_overhead;
+                            *t = machine.uncached_atomic(cluster, qaddr, AtomicKind::Add, 1, *t)?
+                                + self.dequeue_overhead;
                             // Re-check after the (simulated) atomic: the
                             // host-side cursor is the truth.
                             let q = &mut self.cluster_queues[victim];
@@ -805,120 +728,44 @@ impl Exec {
                         if picked.is_none() {
                             // One last atomic on the own queue observed empty.
                             let qaddr = Addr(self.queue_addr.0 + 64 * (cluster.0 as usize % n) as u32);
-                            let (t2, _old) =
-                                machine.atomic(cluster, qaddr, AtomicKind::Add, 0, t)?;
-                            t = t2;
+                            *t = machine.uncached_atomic(cluster, qaddr, AtomicKind::Add, 0, *t)?;
                         }
                         picked
                     }
                 };
                 let Some(idx) = picked else {
                     // Queues empty: arrive at the barrier.
-                    let (t3, _) =
-                        machine.atomic(cluster, barrier_addr, AtomicKind::Add, 1, t)?;
-                    self.cores[core_idx as usize].arrived = true;
+                    *t = machine.uncached_atomic(cluster, barrier_addr, AtomicKind::Add, 1, *t)?;
                     self.arrived += 1;
-                    return Ok(t3);
+                    return Ok(());
                 };
-                let cs = &mut self.cores[core_idx as usize];
+                let cs = &mut self.cores[ci];
                 cs.task = Some((idx, 0));
                 cs.pc_line = 0;
                 cs.fetch_counter = 0;
             }
-
-            // Execute ops.
-            let (task_idx, mut op_idx) = self.cores[core_idx as usize].task.expect("set above");
-            let task = &tasks[task_idx];
-            while op_idx < task.ops.len() {
-                if t >= budget {
-                    let cs = &mut self.cores[core_idx as usize];
-                    cs.task = Some((task_idx, op_idx));
-                    let lane = cs.cluster.0 as usize;
-                    self.lanes.schedule(lane, t, core_idx);
-                    return Ok(t);
-                }
-                // Instruction fetch stream: one line per OPS_PER_FETCH ops.
-                {
-                    let cs = &mut self.cores[core_idx as usize];
-                    if cs.fetch_counter == 0 {
-                        let line_idx = cs.pc_line % task.code_lines;
-                        cs.pc_line = cs.pc_line.wrapping_add(1);
-                        cs.fetch_counter = OPS_PER_FETCH;
-                        let pc = Addr(cs.code_base.0 + 32 * line_idx);
-                        let t0 = t;
-                        t = machine.ifetch(core, pc, t);
-                        self.op_cost[9].0 += 1;
-                        self.op_cost[9].1 += t - t0;
-                    }
-                }
-                let op = task.ops[op_idx];
-                op_idx += 1;
-                let t0 = t;
-                let kind = match op {
-                    Op::Load { .. } => 0,
-                    Op::Store { .. } => 1,
-                    Op::Compute { .. } => 2,
-                    Op::Atomic { .. } => 3,
-                    Op::StackLoad { .. } => 4,
-                    Op::StackStore { .. } => 5,
-                    Op::Flush { .. } => 6,
-                    Op::Invalidate { .. } => 7,
-                };
-                t = self.execute_op(machine, core, op, t).map_err(|e| {
-                    if std::env::var_os("COHESION_DEBUG").is_some() {
-                        eprintln!(
-                            "op failure: core {core} task {task_idx} op {} at cycle {t}: {e}",
-                            op_idx - 1
-                        );
-                    }
-                    e
-                })?;
-                self.op_cost[kind].0 += 1;
-                self.op_cost[kind].1 += t - t0;
-                self.cores[core_idx as usize].fetch_counter -= 1;
+            run_ops(machine, &mut self.cores[ci], CoreId(core_idx), t, budget, tasks)?;
+            if self.cores[ci].task.is_some() {
+                // Budget expired mid-task: back into the lane's queue.
+                let lane = self.cores[ci].cluster.0 as usize;
+                self.lanes.schedule(lane, *t, core_idx);
+                return Ok(());
             }
-            self.cores[core_idx as usize].task = None;
         }
     }
 
-    fn execute_op(
-        &mut self,
-        machine: &mut Machine,
-        core: CoreId,
-        op: Op,
-        t: Cycle,
-    ) -> Result<Cycle, RunError> {
-        let cs = &self.cores[core.0 as usize];
-        let cluster = cs.cluster;
-        let stack_base = cs.stack_base;
-        Ok(match op {
-            Op::Load { addr, expect } => {
-                let (t2, v) = machine.load(core, addr, t);
-                if let Some(e) = expect {
-                    if v != e {
-                        return Err(RunError::Machine(MachineError::StaleLoad {
-                            addr,
-                            got: v,
-                            expected: e,
-                        }));
-                    }
-                }
-                t2
-            }
-            Op::Store { addr, value } => machine.store(core, addr, value, t),
-            Op::Compute { cycles } => t + cycles as Cycle,
-            Op::Atomic {
-                addr,
-                kind,
-                operand,
-            } => machine.atomic(cluster, addr, kind, operand, t)?.0,
-            Op::StackLoad { offset } => machine.load(core, stack_base.offset(offset), t).0,
-            Op::StackStore { offset, value } => {
-                machine.store(core, stack_base.offset(offset), value, t)
-            }
-            Op::Flush { line } => machine.flush(core, line, t),
-            Op::Invalidate { line } => machine.invalidate(core, line, t),
-        })
+    /// Turns a failed operation into the run's error, printing where it
+    /// happened when `COHESION_DEBUG` is set. Both phases surface their
+    /// failures here.
+    fn failure(&self, core: u32, t: Cycle, e: MachineError) -> RunError {
+        if std::env::var_os("COHESION_DEBUG").is_some() {
+            let at = match self.cores[core as usize].task {
+                Some((task, op)) => format!("task {task} op {op}"),
+                None => "dequeue".to_string(),
+            };
+            eprintln!("op failure: core {} {at} at cycle {t}: {e}", CoreId(core));
+        }
+        RunError::Machine(e)
     }
 }
 
@@ -954,4 +801,25 @@ fn apply_region_op(machine: &mut Machine, op: &RegionOp, mut t: Cycle) -> Result
         t += 4;
     }
     Ok(t.max(done_max))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DesignPoint;
+    use cohesion_runtime::layout::LayoutConfig;
+
+    /// A core without a task runs nothing in phase A: it escalates to the
+    /// serial dequeue with its clock and the machine untouched.
+    #[test]
+    fn a_core_without_a_task_escalates_to_the_queue() {
+        let cfg = MachineConfig::scaled(16, DesignPoint::cohesion(16 * 1024, 128));
+        let mut m = Machine::new(cfg, Layout::new(&LayoutConfig::new(16)));
+        let mut cs = CoreState::new(0, cfg.cores_per_cluster, m.layout());
+        let mut scratches = m.new_lane_scratches();
+        let mut t = 5;
+        let got = lane_slice(&mut m.lanes(&mut scratches)[0], &mut cs, CoreId(0), &mut t, 5 + QUANTUM, &[]);
+        assert!(matches!(got, Err(Stop::Escalate { cause: EscalationCause::TaskQueue })));
+        assert_eq!((t, m.l2_stats(), m.total_messages().total()), (5, (0, 0, 0), 0));
+    }
 }

@@ -45,28 +45,35 @@ pub const DEFAULT_CAPACITY: usize = 65536;
 /// Default per-worker capacity of the crew span ring.
 pub const CREW_RING_CAPACITY: usize = 8192;
 
-/// Why a slice left phase A for the serial path. The taxonomy follows
-/// the escalation sites of the sharded executor: everything lane-local
-/// stays in phase A, and each global resource that forces serialization
-/// gets one cause.
+/// Why a slice left phase A for the serial path: the cause the lane
+/// guard returns at the point where it refuses an operation (the guards
+/// live with the lane view in `crates/core/src/machine.rs`). Each
+/// variant lists exactly the refusal points that return it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EscalationCause {
-    /// A data or instruction line had to be fetched from the L3 and its
-    /// home bank is owned by this lane, but a fast-path precondition
-    /// failed (DRAM fill with a dirty victim, directory probe, profiled
-    /// run, …) so the fetch still serialized.
+    /// A resource missing at a bank this lane owns: the line, its
+    /// fine-table line, or a dirty victim is not L3-resident (a DRAM fill
+    /// or write-through); the region profiler is armed (any operation
+    /// that would feed it); owned-bank servicing is off
+    /// (`lane_owned_l3 = false`); or the line-granular SWcc ablation
+    /// needs a fetch before a write. An armed trace log also returns it
+    /// for a load or instruction fetch homed on an owned bank.
     L3Local,
-    /// A data or instruction line had to be fetched from an L3 bank
-    /// owned by another lane — inherently cross-lane, always serial.
+    /// A line fetch (load, instruction fetch, store miss, or ownership
+    /// upgrade) whose home bank belongs to another lane. An armed trace
+    /// log also returns it for a load or instruction fetch homed there.
     L3Remote,
-    /// A store needed the directory: an ownership upgrade, an HWcc miss
-    /// transaction, or a non-silent victim bundled with the allocation.
+    /// A fetch whose directory transition needs probes to other
+    /// clusters, or whose directory insertion would evict an entry. An
+    /// armed trace log also returns it for a store or an invalidate.
     Directory,
-    /// A software flush had a real writeback to send over the NoC.
+    /// A flush writeback, L2-victim writeback, or read release bound for
+    /// another lane's bank. An armed trace log also returns it for a
+    /// flush.
     Noc,
-    /// An atomic operation — uncached by design, always global.
+    /// An uncached atomic operation.
     Atomic,
-    /// Task dequeue or barrier arrival traffic (uncached atomics on the
+    /// Task dequeue or barrier arrival (uncached atomics on the
     /// runtime's queue words).
     TaskQueue,
 }

@@ -148,3 +148,32 @@ fn dropped_spans_are_counted_not_silent() {
         "summary does not carry the ring's drop counter: {summary}"
     );
 }
+
+/// `(kernel, slices, fast_slices, escalated_total, l3_fast, epochs)` for
+/// every kernel at tiny scale on 16 cores under Cohesion, shards 1. These
+/// pin the phase A/B split itself: golden cycle counts notice a change
+/// in what the lane guard accepts only when it shifts timing, this table
+/// notices every one. The per-cause split is deliberately not pinned.
+const PHASE_SPLIT: [(&str, u64, u64, u64, u64, u64); 8] = [
+    ("cg", 377, 177, 200, 35, 155),
+    ("dmm", 300, 153, 147, 0, 81),
+    ("gjk", 687, 384, 303, 17, 60),
+    ("heat", 284, 152, 132, 0, 72),
+    ("kmeans", 591, 351, 240, 20, 79),
+    ("mri", 846, 706, 140, 0, 109),
+    ("sobel", 160, 88, 72, 0, 43),
+    ("stencil", 646, 377, 269, 32, 89),
+];
+
+#[test]
+fn phase_split_is_pinned_for_every_kernel() {
+    for (kernel, slices, fast, escalated, l3_fast, epochs) in PHASE_SPLIT {
+        let report = run(kernel, true, 1);
+        let snap = report.timeline.as_ref().unwrap();
+        assert_eq!(
+            (snap.slices(), snap.fast_slices, snap.escalated_total(), snap.l3_fast, snap.epochs),
+            (slices, fast, escalated, l3_fast, epochs),
+            "{kernel}: the phase A/B split moved"
+        );
+    }
+}
