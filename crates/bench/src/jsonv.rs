@@ -7,6 +7,9 @@
 //! the 2^53 exact-integer range), object keys keep document order, and
 //! the error type is a plain message with a byte offset.
 
+/// 2^53: every integer below it is exact as an `f64`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -41,10 +44,13 @@ impl Value {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number ≥ 0.
+    /// The value as a non-negative integer, if it is a whole number in
+    /// `[0, 2^53)`. Numbers parse to `f64`, which holds every integer only
+    /// below 2^53; a larger one may already have been rounded, so it is
+    /// refused rather than returned as a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Value::Num(n) if (0.0..MAX_EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -307,6 +313,10 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some((1 << 53) - 1));
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None, "2^53");
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None, "rounds to 2^53");
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
     }
 
     #[test]

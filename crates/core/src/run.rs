@@ -9,7 +9,7 @@ use cohesion_runtime::task::{AtomicKind, Op, Phase, RegionOp, Task};
 use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::ids::{ClusterId, CoreId};
-use cohesion_sim::shard::{BatchEvent, LaneQueues};
+use cohesion_sim::shard::LaneQueues;
 use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, Span, Track, CREW_RING_CAPACITY};
 use cohesion_sim::Cycle;
 use std::sync::Arc;
@@ -289,17 +289,17 @@ pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<
 }
 
 /// One lane's bundle of work for a window: its slice of the machine, its
-/// event queue, its cores, and the window's events (canonical order).
+/// event queue, its cores, and the window's events for the lane.
 struct LaneWork<'a> {
     ctx: LaneCtx<'a>,
     queue: &'a mut EventQueue<u32>,
     cores: &'a mut [CoreState],
     core_base: u32,
-    /// `(batch_idx, cycle, core)` — this lane's events, in `(cycle, seq)`
-    /// order (the lane-projection of the batch's canonical order).
-    events: Vec<(usize, Cycle, u32)>,
+    /// `(cycle, core)` — this lane's events in its `(cycle, seq)` pop
+    /// order (an event's `seq` is its index here).
+    events: &'a [(Cycle, u32)],
     /// Slices that stopped in phase A and need the serial path.
-    out: Vec<Halted>,
+    out: &'a mut Vec<Halted>,
     /// Max completion cycle over slices that finished their budget.
     max_end: Cycle,
 }
@@ -307,8 +307,9 @@ struct LaneWork<'a> {
 /// A slice phase A stopped: `core` resumes on the machine at `t` with
 /// the rest of its `budget`, or the run fails.
 struct Halted {
-    /// Index of the slice's event in the window batch (canonical order).
-    bi: usize,
+    /// The window's canonical order key of the slice's event:
+    /// `(cycle, lane, seq)`.
+    key: (Cycle, u32, u32),
     core: u32,
     t: Cycle,
     budget: Cycle,
@@ -317,16 +318,15 @@ struct Halted {
 
 /// Runs one lane's events for the window. Stops at the lane's first
 /// failure: a serial engine would never have executed this lane's later
-/// slices past an aborting error, and the merge in phase B surfaces the
-/// canonically-first error of the whole batch.
+/// slices past an aborting error, and phase B surfaces the
+/// canonically-first error of the whole window.
 fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
-    if w.events.is_empty() {
+    let Some(&(window_cycle, _)) = w.events.first() else {
         return;
-    }
+    };
     let lane = w.ctx.cluster().0;
-    let window_cycle = w.events[0].1;
     let span_start = w.ctx.timeline().start();
-    for &(bi, t0, core) in &w.events {
+    for (seq, &(t0, core)) in w.events.iter().enumerate() {
         let budget = t0 + QUANTUM;
         let mut t = t0;
         let cs = &mut w.cores[(core - w.core_base) as usize];
@@ -341,7 +341,13 @@ fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
                 if let Stop::Escalate { cause } = stop {
                     w.ctx.timeline().note_escalation(lane, t, cause);
                 }
-                w.out.push(Halted { bi, core, t, budget, stop });
+                w.out.push(Halted {
+                    key: (t0, lane, seq as u32),
+                    core,
+                    t,
+                    budget,
+                    stop,
+                });
                 if failed {
                     break;
                 }
@@ -349,6 +355,15 @@ fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
         }
     }
     w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
+}
+
+/// Empties `jobs` and hands its allocation to jobs of another borrow, so
+/// the job list is allocated once per run rather than once per window.
+/// The element type is the same up to lifetimes, so the collect reuses
+/// the buffer in place.
+fn relend<'b>(mut jobs: Vec<LaneWork<'_>>) -> Vec<LaneWork<'b>> {
+    jobs.clear();
+    jobs.into_iter().map(|_| unreachable!("the list is empty")).collect()
 }
 
 /// One phase-A slice: [`run_ops`] on a lane view. A core that needs a
@@ -435,15 +450,15 @@ pub(crate) fn run_ops<S: Access>(
 /// is drained in two phases:
 ///
 /// * **Phase A (parallel):** every cluster lane steps its own cores
-///   through the window ([`run_ops`] over a [`LaneCtx`]), in the
-///   lane-projection of the batch's canonical `(cycle, lane, seq)`
-///   order. An operation whose guard refuses (it needs another lane's
+///   through the window ([`run_ops`] over a [`LaneCtx`]), in the lane's
+///   pop order. An operation whose guard refuses (it needs another lane's
 ///   bank, DRAM, probes, an uncached atomic, a task queue) escalates
 ///   untouched.
 /// * **Phase B (serial):** escalated slices resume on the full machine
-///   in canonical batch order ([`run_ops`] over the [`Machine`]).
+///   in the window's canonical `(cycle, lane, seq)` order ([`run_ops`]
+///   over the [`Machine`]).
 ///
-/// The batch composition, the A/B split, and both processing orders are
+/// The window composition, the A/B split, and both processing orders are
 /// functions of simulated state alone — never of the host thread count —
 /// so simulated results are byte-identical at any [`MachineConfig::shards`]
 /// value. `shards` only chooses how many host threads run phase A.
@@ -458,8 +473,15 @@ struct Exec {
     /// `finish`; `None` unless the timeline is armed and a crew exists.
     crew_trace: Option<Arc<CrewSpanLog>>,
     cores_per_cluster: usize,
-    /// Reused window buffer.
-    batch: Vec<BatchEvent<u32>>,
+    // Window buffers, reused from window to window.
+    /// Per lane: the window's `(cycle, core)` events.
+    window: Vec<Vec<(Cycle, u32)>>,
+    /// Per lane: the slices phase A stopped.
+    halted: Vec<Vec<Halted>>,
+    /// Phase B's slices, in canonical order.
+    serial: Vec<Halted>,
+    /// Phase A's jobs, one per lane in lane order (empty between windows).
+    jobs: Vec<LaneWork<'static>>,
     queue_addr: Addr,
     now: Cycle,
     // Per-phase state.
@@ -506,7 +528,10 @@ impl Exec {
             }),
             crew_trace,
             cores_per_cluster: cfg.cores_per_cluster as usize,
-            batch: Vec::new(),
+            window: vec![Vec::new(); n_lanes],
+            halted: std::iter::repeat_with(Vec::new).take(n_lanes).collect(),
+            serial: Vec::new(),
+            jobs: Vec::new(),
             queue_addr,
             now: 0,
             next_task: 0,
@@ -569,60 +594,39 @@ impl Exec {
 
         // 3. Pump windows until every core reaches the barrier.
         let mut phase_end = t;
-        let mut batch = std::mem::take(&mut self.batch);
         while self.arrived < self.cores.len() as u32 {
             self.lanes
-                .pop_window(QUANTUM, &mut batch)
+                .pop_window(QUANTUM, &mut self.window)
                 .expect("cores pending but no events scheduled");
             machine.timeline_mut().note_window();
 
             // Phase A: lanes step their cores on lane-local state.
-            let n_lanes = self.lanes.lanes();
-            let mut per_lane: Vec<Vec<(usize, Cycle, u32)>> = vec![Vec::new(); n_lanes];
-            for (bi, ev) in batch.iter().enumerate() {
-                per_lane[ev.lane as usize].push((bi, ev.cycle, ev.payload));
+            let mut jobs = relend(std::mem::take(&mut self.jobs));
+            jobs.extend(
+                machine
+                    .lanes(&mut self.scratches)
+                    .into_iter()
+                    .zip(self.lanes.as_mut_slice())
+                    .zip(self.cores.chunks_mut(self.cores_per_cluster))
+                    .zip(&self.window)
+                    .zip(&mut self.halted)
+                    .enumerate()
+                    .map(|(c, ((((ctx, queue), cores), events), out))| LaneWork {
+                        ctx,
+                        queue,
+                        cores,
+                        core_base: (c * self.cores_per_cluster) as u32,
+                        events,
+                        out,
+                        max_end: 0,
+                    }),
+            );
+            match &mut self.crew {
+                Some(crew) => crew.run(&mut jobs, |w| process_lane(w, tasks)),
+                None => jobs.iter_mut().for_each(|w| process_lane(w, tasks)),
             }
-            let mut works: Vec<LaneWork<'_>> = machine
-                .lanes(&mut self.scratches)
-                .into_iter()
-                .zip(self.lanes.as_mut_slice().iter_mut())
-                .zip(self.cores.chunks_mut(self.cores_per_cluster))
-                .zip(per_lane)
-                .enumerate()
-                .map(|(c, (((ctx, queue), cores), events))| LaneWork {
-                    ctx,
-                    queue,
-                    cores,
-                    core_base: (c * self.cores_per_cluster) as u32,
-                    events,
-                    out: Vec::new(),
-                    max_end: 0,
-                })
-                .collect();
-            match &self.crew {
-                Some(crew) => {
-                    let mut jobs: Vec<_> = works
-                        .iter_mut()
-                        .map(|w| move || process_lane(w, tasks))
-                        .collect();
-                    let mut refs: Vec<&mut (dyn FnMut() + Send)> = jobs
-                        .iter_mut()
-                        .map(|j| j as &mut (dyn FnMut() + Send))
-                        .collect();
-                    crew.run(&mut refs);
-                }
-                None => {
-                    for w in works.iter_mut() {
-                        process_lane(w, tasks);
-                    }
-                }
-            }
-            let mut serial: Vec<Halted> = Vec::new();
-            for w in works.iter_mut() {
-                phase_end = phase_end.max(w.max_end);
-                serial.append(&mut w.out);
-            }
-            drop(works);
+            phase_end = jobs.iter().fold(phase_end, |end, w| end.max(w.max_end));
+            self.jobs = relend(jobs);
             // Lane timeline buffers fold in fixed lane order, so the main
             // ring's drop sequence never depends on host threads.
             if machine.timeline().is_armed() {
@@ -631,14 +635,18 @@ impl Exec {
                 }
             }
 
-            // Phase B: escalated slices resume serially, in canonical
-            // batch order; the canonically-first failure aborts the run.
-            serial.sort_unstable_by_key(|h| h.bi);
+            // Phase B: escalated slices resume serially, in the window's
+            // canonical order; the canonically-first failure aborts the run.
+            let mut serial = std::mem::take(&mut self.serial);
+            for out in &mut self.halted {
+                serial.append(out);
+            }
+            serial.sort_unstable_by_key(|h| h.key);
             let span_b = (!serial.is_empty())
                 .then(|| machine.timeline().start())
                 .flatten();
             let window_cycle = serial.first().map_or(0, |h| h.t);
-            for Halted { core, mut t, budget, stop, .. } in serial {
+            for Halted { core, mut t, budget, stop, .. } in serial.drain(..) {
                 let resumed = match stop {
                     Stop::Escalate { .. } => {
                         self.step_core(machine, core, &mut t, budget, tasks, barrier_addr)
@@ -651,6 +659,7 @@ impl Exec {
                     Err(Stop::Escalate { .. }) => unreachable!("the machine never refuses"),
                 }
             }
+            self.serial = serial;
             if let Some(t0) = span_b {
                 let now = machine.timeline().now_us();
                 machine.timeline_mut().push(Span {
@@ -663,7 +672,6 @@ impl Exec {
                 });
             }
         }
-        self.batch = batch;
 
         // 4. Barrier release broadcast.
         self.now = phase_end + self.barrier_release;

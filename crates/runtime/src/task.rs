@@ -335,10 +335,14 @@ impl TaskBuilder {
         self
     }
 
-    /// Finishes the task.
+    /// Finishes the task. The op list gives back the slack its growth
+    /// left: a phase holds every task's list at once, and that slack
+    /// could be as large as the ops themselves.
     pub fn build(&mut self) -> Task {
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.shrink_to_fit();
         Task {
-            ops: std::mem::take(&mut self.ops),
+            ops,
             code_lines: self.code_lines.max(1),
         }
     }

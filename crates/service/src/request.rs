@@ -118,8 +118,8 @@ impl RunRequest {
             scale: parse_scale(&str_field(v, "scale")?)?,
             cores: u64_field(v, "cores")? as u32,
             point: str_field(v, "point")?,
-            seed: u64_field(v, "seed").unwrap_or(0),
-            shards: u64_field(v, "shards").unwrap_or(1) as u32,
+            seed: u64_field_or(v, "seed", 0)?,
+            shards: u64_field_or(v, "shards", 1)? as u32,
         })
     }
 }
@@ -222,8 +222,8 @@ impl SweepRequest {
             points: list("points")?,
             scale: parse_scale(&str_field(v, "scale")?)?,
             cores: u64_field(v, "cores")? as u32,
-            seed: u64_field(v, "seed").unwrap_or(0),
-            shards: u64_field(v, "shards").unwrap_or(1) as u32,
+            seed: u64_field_or(v, "seed", 0)?,
+            shards: u64_field_or(v, "shards", 1)? as u32,
         })
     }
 }
@@ -236,9 +236,20 @@ fn str_field(v: &Value, name: &str) -> Result<String, String> {
 }
 
 fn u64_field(v: &Value, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing non-negative integer field {name:?}"))
+    match v.get(name) {
+        None => Err(format!("missing non-negative integer field {name:?}")),
+        Some(x) => x.as_u64().ok_or_else(|| {
+            format!("field {name:?} must be a non-negative integer below 2^53")
+        }),
+    }
+}
+
+/// Like [`u64_field`], but an absent field reads `default`.
+fn u64_field_or(v: &Value, name: &str, default: u64) -> Result<u64, String> {
+    match v.get(name) {
+        None => Ok(default),
+        Some(_) => u64_field(v, name),
+    }
 }
 
 /// The wire name of a scale.

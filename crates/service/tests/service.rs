@@ -157,6 +157,31 @@ fn invalid_requests_get_structured_errors_and_connection_survives() {
     stop_and_join(stop, thread);
 }
 
+/// JSON numbers are doubles, exact only below 2^53: a larger seed would
+/// reach the simulator rounded, so the daemon refuses it instead.
+#[test]
+fn seeds_beyond_exact_json_integers_are_bad_requests() {
+    let (addr, stop, thread) = start_server(quick_cfg());
+    let mut client = connect(&addr);
+
+    for seed in [1 << 53, (1 << 53) + 1, u64::MAX] {
+        let err = client
+            .submit_run(&tiny_run(seed), |_| {})
+            .expect_err("seed past 2^53");
+        assert_eq!(err.code, Some(ErrorCode::BadRequest), "seed {seed}: {err}");
+        assert!(err.to_string().contains("seed"), "seed {seed}: {err}");
+    }
+
+    // The largest exact seed still runs, and as that very seed.
+    let seed = (1 << 53) - 1;
+    let outcome = client.submit_run(&tiny_run(seed), |_| {}).expect("seed 2^53 - 1");
+    assert_eq!(outcome.reports.len(), 1);
+    let direct = cohesion_service::runner::execute(&tiny_run(seed).validate().expect("valid"))
+        .expect("direct run");
+    assert_eq!(outcome.reports[0].doc, direct, "the daemon simulated the seed sent");
+    stop_and_join(stop, thread);
+}
+
 #[test]
 fn version_negotiation_failure_is_reported_and_closes() {
     let (addr, stop, thread) = start_server(quick_cfg());

@@ -27,7 +27,7 @@
 //! the paper's figures reproducible artifacts rather than noisy
 //! measurements. Parallel execution of one run is layered on top without
 //! weakening that: [`shard::LaneQueues`] partitions events into per-lane
-//! wheels drained in deterministically-merged windows, and [`crew::Crew`]
+//! wheels drained in windows with a fixed canonical order, and [`crew::Crew`]
 //! supplies the worker threads — host parallelism is never observable in
 //! simulated results.
 //!

@@ -3,47 +3,35 @@
 //! [`LaneQueues`] partitions one logical event stream across a fixed set
 //! of *lanes* (in the machine: one lane per cluster), each backed by its
 //! own timing-wheel [`EventQueue`]. The executor drains events in
-//! *windows*: [`LaneQueues::pop_window`] collects every event scheduled
-//! strictly before `horizon = min-pending-cycle + window` from all lanes
-//! and returns them merged under the fixed rule
+//! *windows*: [`LaneQueues::pop_window`] moves every event scheduled
+//! strictly before `horizon = min-pending-cycle + window` into one list
+//! per lane, each in the `(cycle, seq)` pop order its wheel guarantees.
+//! The window's canonical order is those lists merged under the fixed
+//! rule
 //!
 //! > ascending `(cycle, lane, seq)`
 //!
-//! where `seq` is the lane-local pop order (itself the `(cycle, seq)`
-//! pop order the per-lane wheel guarantees). Within a window, events in
-//! *different* lanes may be processed concurrently as long as they touch
-//! only lane-private state; the merged order is what any cross-lane
-//! (serial) work must follow.
+//! where `seq` is an event's index in its lane's list. Within a window,
+//! events in *different* lanes may be processed concurrently as long as
+//! they touch only lane-private state; any cross-lane (serial) work must
+//! follow the canonical order, which it recovers by sorting just the
+//! events it handles by that key.
 //!
 //! # Determinism contract
 //!
 //! The lane count is part of the *logical* configuration (the machine's
-//! cluster count), not the host parallelism: batch contents and merge
-//! order depend only on the sequence of [`LaneQueues::schedule`] calls
-//! and the window size. How many worker threads execute a batch — one or
-//! sixteen — cannot be observed through this type, which is the
-//! foundation of the `--shards N` byte-identity guarantee.
+//! cluster count), not the host parallelism: window contents and
+//! canonical order depend only on the sequence of
+//! [`LaneQueues::schedule`] calls and the window size. How many worker
+//! threads process a window — one or sixteen — cannot be observed
+//! through this type, which is the foundation of the `--shards N`
+//! byte-identity guarantee.
 
 use crate::event::EventQueue;
 use crate::Cycle;
 
-/// One event drained from a [`LaneQueues`] window, tagged with its merge
-/// key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchEvent<E> {
-    /// Cycle the event was scheduled for.
-    pub cycle: Cycle,
-    /// Lane the event belongs to.
-    pub lane: u32,
-    /// Lane-local pop sequence within this window (0, 1, 2, …).
-    pub seq: u32,
-    /// The event payload.
-    pub payload: E,
-}
-
-/// A fixed set of per-lane timing-wheel event queues with windowed,
-/// deterministically-merged draining. See the module docs for the
-/// ordering contract.
+/// A fixed set of per-lane timing-wheel event queues drained in windows.
+/// See the module docs for the ordering contract.
 #[derive(Debug, Clone)]
 pub struct LaneQueues<E> {
     lanes: Vec<EventQueue<E>>,
@@ -120,34 +108,28 @@ impl<E: Copy> LaneQueues<E> {
         self.lanes.iter().map(EventQueue::max_pending).sum()
     }
 
-    /// Drains the next window into `batch` (cleared first): every event
-    /// with `cycle < min-pending + window`, merged by ascending
-    /// `(cycle, lane, seq)`. Returns the exclusive horizon, or `None`
-    /// (leaving `batch` empty) when all lanes are empty.
+    /// Drains the next window into `out`, one list per lane (each cleared
+    /// first): every event with `cycle < min-pending + window`, as
+    /// `(cycle, payload)` in the lane's `(cycle, seq)` pop order. Returns
+    /// the exclusive horizon, or `None` (leaving every list empty) when
+    /// all lanes are empty.
     ///
     /// A `window` of zero still drains the events at exactly the minimum
     /// pending cycle (the horizon is at least one cycle past it), so the
     /// drain always makes progress.
-    pub fn pop_window(&mut self, window: Cycle, batch: &mut Vec<BatchEvent<E>>) -> Option<Cycle> {
-        batch.clear();
-        let start = self.next_cycle()?;
-        let horizon = start + window.max(1);
-        for (lane, q) in self.lanes.iter_mut().enumerate() {
-            let mut seq = 0u32;
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds one list per lane.
+    pub fn pop_window(&mut self, window: Cycle, out: &mut [Vec<(Cycle, E)>]) -> Option<Cycle> {
+        assert_eq!(out.len(), self.lanes.len(), "one output list per lane");
+        out.iter_mut().for_each(Vec::clear);
+        let horizon = self.next_cycle()? + window.max(1);
+        for (q, list) in self.lanes.iter_mut().zip(out) {
             while q.peek_cycle().is_some_and(|c| c < horizon) {
-                let (cycle, payload) = q.pop().expect("peeked");
-                batch.push(BatchEvent {
-                    cycle,
-                    lane: lane as u32,
-                    seq,
-                    payload,
-                });
-                seq += 1;
+                list.push(q.pop().expect("peeked"));
             }
         }
-        // Lanes were visited in order and each lane pops in (cycle, seq)
-        // order, so sorting by the full key is a deterministic merge.
-        batch.sort_unstable_by_key(|e| (e.cycle, e.lane, e.seq));
         Some(horizon)
     }
 }
@@ -164,16 +146,16 @@ mod tests {
             lq.schedule(0, at, p);
             q.schedule(at, p);
         }
-        let mut batch = Vec::new();
-        let mut merged = Vec::new();
-        while lq.pop_window(1000, &mut batch).is_some() {
-            merged.extend(batch.iter().map(|e| (e.cycle, e.payload)));
+        let mut lists = vec![Vec::new()];
+        let mut drained = Vec::new();
+        while lq.pop_window(1000, &mut lists).is_some() {
+            drained.extend_from_slice(&lists[0]);
         }
         let mut reference = Vec::new();
         while let Some(ev) = q.pop() {
             reference.push(ev);
         }
-        assert_eq!(merged, reference);
+        assert_eq!(drained, reference);
     }
 
     #[test]
@@ -183,28 +165,25 @@ mod tests {
         lq.schedule(1, 14, 'b');
         lq.schedule(0, 15, 'c'); // exactly at the horizon: next window
         lq.schedule(1, 30, 'd');
-        let mut batch = Vec::new();
-        let horizon = lq.pop_window(5, &mut batch).unwrap();
+        let mut lists = vec![Vec::new(); 2];
+        let horizon = lq.pop_window(5, &mut lists).unwrap();
         assert_eq!(horizon, 15);
-        let got: Vec<char> = batch.iter().map(|e| e.payload).collect();
-        assert_eq!(got, vec!['a', 'b']);
-        let horizon = lq.pop_window(5, &mut batch).unwrap();
+        assert_eq!(lists, [vec![(10, 'a')], vec![(14, 'b')]]);
+        let horizon = lq.pop_window(5, &mut lists).unwrap();
         assert_eq!(horizon, 20);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].payload, 'c');
+        assert_eq!(lists, [vec![(15, 'c')], vec![]]);
     }
 
     #[test]
-    fn same_cycle_events_merge_by_lane_then_seq() {
+    fn same_cycle_events_stay_in_their_lanes_pop_order() {
         let mut lq = LaneQueues::new(3);
         lq.schedule(2, 7, 'x');
         lq.schedule(0, 7, 'y');
         lq.schedule(0, 7, 'z');
         lq.schedule(1, 7, 'w');
-        let mut batch = Vec::new();
-        lq.pop_window(64, &mut batch);
-        let got: Vec<(u32, u32, char)> = batch.iter().map(|e| (e.lane, e.seq, e.payload)).collect();
-        assert_eq!(got, vec![(0, 0, 'y'), (0, 1, 'z'), (1, 0, 'w'), (2, 0, 'x')]);
+        let mut lists = vec![Vec::new(); 3];
+        lq.pop_window(64, &mut lists);
+        assert_eq!(lists, [vec![(7, 'y'), (7, 'z')], vec![(7, 'w')], vec![(7, 'x')]]);
     }
 
     #[test]
@@ -212,11 +191,11 @@ mod tests {
         let mut lq = LaneQueues::new(2);
         lq.schedule(0, 4, 1u32);
         lq.schedule(1, 4, 2);
-        let mut batch = Vec::new();
-        assert_eq!(lq.pop_window(0, &mut batch), Some(5));
-        assert_eq!(batch.len(), 2);
-        assert!(lq.pop_window(0, &mut batch).is_none());
-        assert!(batch.is_empty());
+        let mut lists = vec![Vec::new(); 2];
+        assert_eq!(lq.pop_window(0, &mut lists), Some(5));
+        assert_eq!(lists, [vec![(4, 1)], vec![(4, 2)]]);
+        assert!(lq.pop_window(0, &mut lists).is_none());
+        assert!(lists.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -229,8 +208,7 @@ mod tests {
         assert_eq!(lq.len(), 3);
         assert_eq!(lq.max_pending(), 3);
         assert_eq!(lq.next_cycle(), Some(1));
-        let mut batch = Vec::new();
-        lq.pop_window(100, &mut batch);
+        lq.pop_window(100, &mut [Vec::new(), Vec::new()]);
         assert!(lq.is_empty());
         assert_eq!(lq.scheduled(), 3, "scheduled counts calls, not occupancy");
     }

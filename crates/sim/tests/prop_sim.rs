@@ -6,7 +6,7 @@ use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::link::{Link, Throttle};
 use cohesion_sim::metrics::{Histogram, Registry, HISTOGRAM_BUCKETS};
-use cohesion_sim::shard::{BatchEvent, LaneQueues};
+use cohesion_sim::shard::LaneQueues;
 use cohesion_sim::stats::TimeWeighted;
 use cohesion_sim::slots::SlotReserver;
 use cohesion_testkit::prop::{range, sample, vec_of, Runner};
@@ -96,11 +96,11 @@ fn event_queue_matches_binary_heap_model() {
 }
 
 /// `LaneQueues::pop_window` against a reference model: each window's
-/// batch holds, for every lane, exactly the pending events with
-/// `cycle < horizon` in that lane's `(cycle, insertion)` order, merged
-/// by `(cycle, lane, seq)` — including same-cycle bursts across lanes
-/// and events landing exactly on the horizon (which must wait for the
-/// next window).
+/// per-lane lists hold exactly the lane's pending events with
+/// `cycle < horizon`, in its `(cycle, insertion)` order, and merging the
+/// lists by `(cycle, lane, seq)` gives the model's canonical order —
+/// including same-cycle bursts across lanes and events landing exactly
+/// on the horizon (which must wait for the next window).
 #[test]
 fn lane_queues_match_per_lane_reference() {
     // One step: schedule a burst into a lane at `now + delta` (deltas
@@ -121,7 +121,7 @@ fn lane_queues_match_per_lane_reference() {
                 // Reference: per-lane sorted-stable pending lists.
                 let mut model: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
                 let mut payload = 0u32;
-                let mut batch: Vec<BatchEvent<u32>> = Vec::new();
+                let mut lists: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
                 let mut drains = 0;
                 for (kind, lane, delta, burst) in steps {
                     let lane = lane % lanes;
@@ -134,7 +134,7 @@ fn lane_queues_match_per_lane_reference() {
                             payload += 1;
                         }
                         model[lane].sort_by_key(|&(at, _)| at); // stable: FIFO kept
-                    } else if let Some(horizon) = q.pop_window(WINDOW, &mut batch) {
+                    } else if let Some(horizon) = q.pop_window(WINDOW, &mut lists) {
                         drains += 1;
                         let start = model
                             .iter()
@@ -142,21 +142,37 @@ fn lane_queues_match_per_lane_reference() {
                             .min()
                             .expect("queues non-empty");
                         assert_eq!(horizon, start + WINDOW);
-                        // Expected batch: each lane's sub-horizon prefix,
-                        // tagged with per-lane seq, merged canonically.
-                        let mut want: Vec<(u64, usize, u32, u32)> = Vec::new();
-                        for (li, l) in model.iter_mut().enumerate() {
-                            let cut = l.partition_point(|&(at, _)| at < horizon);
-                            for (seq, (at, p)) in l.drain(..cut).enumerate() {
-                                want.push((at, li, seq as u32, p));
-                            }
-                        }
-                        want.sort_by_key(|&(at, li, seq, _)| (at, li, seq));
-                        let got: Vec<(u64, usize, u32, u32)> = batch
-                            .iter()
-                            .map(|e| (e.cycle, e.lane as usize, e.seq, e.payload))
+                        // Expected: each lane's sub-horizon prefix.
+                        let want: Vec<Vec<(u64, u32)>> = model
+                            .iter_mut()
+                            .map(|l| {
+                                let cut = l.partition_point(|&(at, _)| at < horizon);
+                                l.drain(..cut).collect()
+                            })
                             .collect();
-                        assert_eq!(got, want, "window {drains} diverged from model");
+                        assert_eq!(lists, want, "window {drains} diverged from model");
+                        // Merged by `(cycle, lane, seq)`, the lists give a
+                        // time-ordered window, lanes in order within a cycle.
+                        let mut merged: Vec<(u64, usize, u32, u32)> = lists
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(li, l)| {
+                                l.iter().enumerate().map(move |(seq, &(at, p))| (at, li, seq as u32, p))
+                            })
+                            .collect();
+                        merged.sort_unstable_by_key(|&(at, li, seq, _)| (at, li, seq));
+                        assert!(
+                            merged.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
+                            "window {drains}: canonical order is not time-then-lane"
+                        );
+                        for (li, l) in lists.iter().enumerate() {
+                            let projected: Vec<(u64, u32)> = merged
+                                .iter()
+                                .filter(|e| e.1 == li)
+                                .map(|&(at, _, _, p)| (at, p))
+                                .collect();
+                            assert_eq!(&projected, l, "window {drains}: lane {li} reordered by the merge");
+                        }
                     } else {
                         assert!(model.iter().all(|l| l.is_empty()));
                     }
@@ -174,7 +190,8 @@ fn lane_queues_match_per_lane_reference() {
 /// with per-lane cores whose events either mutate lane-local state
 /// (phase A, parallel over lanes) or escalate to a shared digest applied
 /// in canonical batch order (phase B, serial). Running it single-threaded
-/// and on a worker crew must leave byte-identical final state — lane
+/// and on worker crews of 2, 3 and one-per-lane threads must leave
+/// byte-identical final state — lane
 /// digests, shared digest, queue stats, and merged metrics JSON. Initial
 /// events collide on the same cycle across lanes, and re-schedules land
 /// exactly on (or just past) the lookahead horizon.
@@ -191,7 +208,7 @@ fn crewed_windows_match_single_threaded_windows() {
             ),
             |(lanes, cpl, steps, jitter)| {
                 let serial = toy_sharded_run(lanes, cpl, steps, &jitter, 1);
-                for threads in [2, lanes.max(2)] {
+                for threads in [2, 3, lanes.max(2)] {
                     let crewed = toy_sharded_run(lanes, cpl, steps, &jitter, threads);
                     assert_eq!(
                         serial, crewed,
@@ -224,10 +241,11 @@ fn toy_sharded_run(
         /// Per-core completed-step counters (host-thread-independent).
         done: &'a mut [u64],
         metrics: &'a mut Registry,
-        /// This lane's window events: `(batch_idx, cycle, core_payload)`.
-        events: Vec<(usize, u64, u32)>,
-        /// Escalations for phase B, same tuple shape.
-        out: Vec<(usize, u64, u32)>,
+        /// This lane's window events: `(cycle, core_payload)`.
+        events: &'a [(u64, u32)],
+        /// Escalations for phase B: `(seq, cycle, core_payload)`, where
+        /// `seq` is the event's index in `events`.
+        out: &'a mut Vec<(u32, u64, u32)>,
     }
     /// An event escalates (touches the shared digest) 1 time in 4.
     fn is_global(cycle: u64, payload: u32) -> bool {
@@ -245,37 +263,34 @@ fn toy_sharded_run(
     let mut done = vec![0u64; lanes * cpl];
     let mut registries: Vec<Registry> = (0..lanes).map(|_| Registry::armed(64)).collect();
     let mut shared = 0u64;
-    let crew = (threads > 1).then(|| Crew::new(threads - 1));
-    let mut batch: Vec<BatchEvent<u32>> = Vec::new();
-    while q.pop_window(WINDOW, &mut batch).is_some() {
-        let mut per_lane: Vec<Vec<(usize, u64, u32)>> = vec![Vec::new(); lanes];
-        for (bi, ev) in batch.iter().enumerate() {
-            per_lane[ev.lane as usize].push((bi, ev.cycle, ev.payload));
-        }
-        // Phase A: lanes process their own events in canonical order,
-        // touching only lane-local state; global events escalate with
-        // nothing mutated.
+    let mut crew = (threads > 1).then(|| Crew::new(threads - 1));
+    let mut window: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
+    let mut halted: Vec<Vec<(u32, u64, u32)>> = vec![Vec::new(); lanes];
+    while q.pop_window(WINDOW, &mut window).is_some() {
+        // Phase A: lanes process their own events in pop order, touching
+        // only lane-local state; global events escalate with nothing
+        // mutated.
         let mut jobs: Vec<LaneJob<'_>> = q
             .as_mut_slice()
             .iter_mut()
             .zip(lane_digests.iter_mut())
             .zip(done.chunks_mut(cpl))
             .zip(registries.iter_mut())
-            .zip(per_lane)
-            .map(|((((queue, digest), done), metrics), events)| LaneJob {
+            .zip(&window)
+            .zip(&mut halted)
+            .map(|(((((queue, digest), done), metrics), events), out)| LaneJob {
                 queue,
                 digest,
                 done,
                 metrics,
                 events,
-                out: Vec::new(),
+                out,
             })
             .collect();
         let run_lane = |j: &mut LaneJob<'_>| {
-            for i in 0..j.events.len() {
-                let (bi, cycle, payload) = j.events[i];
+            for (seq, &(cycle, payload)) in j.events.iter().enumerate() {
                 if is_global(cycle, payload) {
-                    j.out.push((bi, cycle, payload));
+                    j.out.push((seq as u32, cycle, payload));
                     continue;
                 }
                 *j.digest = toy_mix(*j.digest, cycle, payload as u64);
@@ -289,35 +304,20 @@ fn toy_sharded_run(
                 }
             }
         };
-        match &crew {
-            Some(crew) => {
-                let mut closures: Vec<_> = jobs
-                    .iter_mut()
-                    .map(|j| move || run_lane(j))
-                    .collect();
-                let mut refs: Vec<&mut (dyn FnMut() + Send)> = closures
-                    .iter_mut()
-                    .map(|c| c as &mut (dyn FnMut() + Send))
-                    .collect();
-                crew.run(&mut refs);
-            }
-            None => {
-                for j in jobs.iter_mut() {
-                    run_lane(j);
-                }
-            }
-        }
-        // Phase B: escalations apply to the shared digest in canonical
-        // batch order, and re-schedule into their own lane.
-        let mut serial: Vec<(usize, usize, u64, u32)> = Vec::new();
-        for (lane, j) in jobs.iter_mut().enumerate() {
-            for (bi, cycle, payload) in j.out.drain(..) {
-                serial.push((bi, lane, cycle, payload));
-            }
+        match &mut crew {
+            Some(crew) => crew.run(&mut jobs, run_lane),
+            None => jobs.iter_mut().for_each(run_lane),
         }
         drop(jobs);
-        serial.sort_unstable_by_key(|&(bi, ..)| bi);
-        for (_bi, lane, cycle, payload) in serial {
+        // Phase B: escalations apply to the shared digest in the window's
+        // canonical `(cycle, lane, seq)` order, and re-schedule into their
+        // own lane.
+        let mut serial: Vec<(u64, usize, u32, u32)> = Vec::new();
+        for (lane, out) in halted.iter_mut().enumerate() {
+            serial.extend(out.drain(..).map(|(seq, cycle, payload)| (cycle, lane, seq, payload)));
+        }
+        serial.sort_unstable_by_key(|&(cycle, lane, seq, _)| (cycle, lane, seq));
+        for (cycle, lane, _seq, payload) in serial {
             shared = toy_mix(shared, cycle, (payload as u64) << 32 | lane as u64);
             let core = payload as usize % cpl;
             let slot = lane * cpl + core;

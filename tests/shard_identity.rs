@@ -12,7 +12,11 @@ use cohesion::run::run_workload;
 use cohesion_kernels::{kernel_by_name, Scale};
 
 fn run_sharded(kernel: &str, dp: DesignPoint, shards: u32) -> RunReport {
-    let mut cfg = MachineConfig::scaled(16, dp);
+    run_sharded_on(16, kernel, dp, shards)
+}
+
+fn run_sharded_on(cores: u32, kernel: &str, dp: DesignPoint, shards: u32) -> RunReport {
+    let mut cfg = MachineConfig::scaled(cores, dp);
     cfg.shards = shards;
     cfg.metrics = true;
     let mut wl = kernel_by_name(kernel, Scale::Tiny);
@@ -54,6 +58,24 @@ fn shard_count_is_unobservable_in_simulated_results() {
                 let ctx = format!("{kernel}/{mode} shards=1 vs {shards}");
                 assert_identical(&ctx, &base, &sharded);
             }
+        }
+    }
+}
+
+/// A 64-core machine has 8 cluster lanes, so the crew's participants own
+/// blocks of several lanes: 4 + 4 at shards 2, the uneven 2 + 3 + 3 at
+/// shards 3, and one lane each at shards 8.
+#[test]
+fn eight_lanes_in_uneven_blocks_stay_identical() {
+    for (kernel, mode, dp) in [
+        ("heat", "Cohesion", DesignPoint::cohesion(1024, 128)),
+        ("kmeans", "SWcc", DesignPoint::swcc()),
+    ] {
+        let base = run_sharded_on(64, kernel, dp, 1);
+        for shards in [2, 3, 8] {
+            let sharded = run_sharded_on(64, kernel, dp, shards);
+            let ctx = format!("64-core {kernel}/{mode} shards=1 vs {shards}");
+            assert_identical(&ctx, &base, &sharded);
         }
     }
 }
