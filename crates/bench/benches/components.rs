@@ -140,23 +140,6 @@ fn bench_slots(h: &mut Harness) {
     });
 }
 
-fn bench_tracelog(h: &mut Harness) {
-    use cohesion_sim::tracelog::TraceLog;
-    h.bench("tracelog_disarmed_wants", |b| {
-        let log = TraceLog::new();
-        b.iter(|| black_box(log.wants(42)));
-    });
-    h.bench("tracelog_armed_record", |b| {
-        let mut log = TraceLog::new();
-        log.watch_all(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            log.record(i, i as u32, "bench", String::new());
-        });
-    });
-}
-
 fn bench_end_to_end(h: &mut Harness) {
     use cohesion::config::{DesignPoint, MachineConfig};
     use cohesion::run::run_workload;
@@ -179,7 +162,6 @@ fn main() {
     bench_fine_table(&mut h);
     bench_dram(&mut h);
     bench_slots(&mut h);
-    bench_tracelog(&mut h);
     bench_end_to_end(&mut h);
     h.finish();
 }

@@ -15,8 +15,9 @@ use cohesion::config::{DesignPoint, DirectoryVariant, MachineConfig};
 use cohesion::report::RunReport;
 use cohesion::run::run_workload;
 use cohesion_kernels::{Scale, KERNEL_NAMES};
+use cohesion_mem::addr::{Addr, LineAddr};
 use cohesion_sim::metrics::Snapshot;
-use cohesion_sim::timeline::{TimelineSnapshot, Track};
+use cohesion_sim::timeline::{LineEvent, Mark, TimelineSnapshot, Track};
 use cohesion_testkit::pool;
 
 /// Common command-line options for every figure binary.
@@ -63,6 +64,11 @@ pub struct Options {
     /// default — the recorder stays disarmed and every observable output
     /// is byte-identical to a run without tracing.
     pub trace_out: Option<String>,
+    /// The cache line whose protocol events the timeline records
+    /// (`COHESION_WATCH`, a hexadecimal byte address; default none).
+    /// Only `--trace-out` runs record them, and watching never changes
+    /// a simulated result.
+    pub watch: Option<LineAddr>,
 }
 
 impl Default for Options {
@@ -76,6 +82,7 @@ impl Default for Options {
             seed: 0,
             metrics_out: None,
             trace_out: None,
+            watch: default_watch(),
         }
     }
 }
@@ -90,6 +97,36 @@ fn default_shards() -> u32 {
         .ok()
         .and_then(|v| parse_shards(&v))
         .unwrap_or(1)
+}
+
+/// Default watched line: the line holding the `COHESION_WATCH` byte
+/// address, when set. An unparsable value is reported and ignored.
+fn default_watch() -> Option<LineAddr> {
+    let raw = std::env::var("COHESION_WATCH").ok()?;
+    match parse_watch(&raw) {
+        Ok(addr) => Some(Addr(addr).line()),
+        Err(e) => {
+            eprintln!("COHESION_WATCH ignored: {e}");
+            None
+        }
+    }
+}
+
+/// Parses a `COHESION_WATCH` value: a hexadecimal byte address, with or
+/// without a leading `0x`/`0X` prefix.
+fn parse_watch(raw: &str) -> Result<u32, String> {
+    let v = raw.trim();
+    let digits = v
+        .strip_prefix("0x")
+        .or_else(|| v.strip_prefix("0X"))
+        .unwrap_or(v);
+    u32::from_str_radix(digits, 16).map_err(|_| {
+        format!(
+            "cannot parse {raw:?} as a watch address; accepted formats are \
+             hexadecimal byte addresses with or without a 0x prefix \
+             (e.g. COHESION_WATCH=0x40001080 or COHESION_WATCH=40001080)"
+        )
+    })
 }
 
 /// Parses a shard-count value: a positive integer, or `auto` / `0` for
@@ -208,6 +245,7 @@ impl Options {
         };
         cfg.metrics = self.metrics_out.is_some();
         cfg.timeline = self.trace_out.is_some();
+        cfg.watch = self.watch;
         cfg.shards = self.shards;
         cfg
     }
@@ -445,11 +483,12 @@ pub fn trace_tid(track: Track) -> u64 {
 /// Renders recorded runs as one Chrome trace-event JSON array
 /// (Perfetto-loadable): each run is a trace *process* (pid = position in
 /// the caller's pre-sorted label order) and each timeline track a
-/// *thread* (see [`trace_tid`]). Spans with a duration become `ph:"X"`
-/// complete events; zero-duration escalation marks become `ph:"i"`
-/// instants carrying their cause; process/thread names are emitted as
-/// `ph:"M"` metadata. Events are sorted by `(pid, tid, ts, dur)` so
-/// every track's timestamps are monotonic.
+/// *thread* (see [`trace_tid`]). Intervals become `ph:"X"` complete
+/// events; instants become `ph:"i"` events whose `args` carry the
+/// escalation cause, or the watched line and the event's fields;
+/// process/thread names are emitted as `ph:"M"` metadata. Events are
+/// sorted by `(pid, tid, ts, dur)` so every track's timestamps are
+/// monotonic.
 pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     // (pid, tid, ts, sort-tiebreak, rendered event) — metadata first.
@@ -492,21 +531,22 @@ pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
         }
         for s in snap.spans.iter().chain(snap.crew_spans.iter()) {
             let tid = trace_tid(s.track);
-            let cause = match s.cause {
-                Some(c) => format!(", \"cause\": \"{}\"", c.label()),
-                None => String::new(),
+            let args = match s.mark {
+                Mark::None => String::new(),
+                Mark::Escalate(cause) => format!(", \"cause\": \"{}\"", cause.label()),
+                Mark::Line(line, event) => format!(", \"line\": {line}{}", line_args(event)),
             };
-            let ev = if s.dur_us == 0 && s.name == "escalate" {
+            let ev = if s.mark == Mark::None {
                 format!(
-                    "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \
-                     \"tid\": {tid}, \"ts\": {}, \"args\": {{\"cycle\": {}{cause}}}}}",
-                    s.name, s.start_us, s.cycle
+                    "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \
+                     \"ts\": {}, \"dur\": {}, \"args\": {{\"cycle\": {}}}}}",
+                    s.name, s.start_us, s.dur_us, s.cycle
                 )
             } else {
                 format!(
-                    "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \
-                     \"ts\": {}, \"dur\": {}, \"args\": {{\"cycle\": {}{cause}}}}}",
-                    s.name, s.start_us, s.dur_us, s.cycle
+                    "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \
+                     \"tid\": {tid}, \"ts\": {}, \"args\": {{\"cycle\": {}{args}}}}}",
+                    s.name, s.start_us, s.cycle
                 )
             };
             events.push((pid, tid, s.start_us, 2 + s.dur_us, ev));
@@ -521,6 +561,18 @@ pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
     }
     out.push_str("]\n");
     out
+}
+
+/// The trace `args` fields of a line event beyond its line and cycle.
+fn line_args(event: LineEvent) -> String {
+    match event {
+        LineEvent::Load { level } => format!(", \"level\": \"{level:?}\""),
+        LineEvent::Probe { target, invalidate, writeback } => {
+            format!(", \"target\": {target}, \"invalidate\": {invalidate}, \"writeback\": {writeback}")
+        }
+        LineEvent::Atomic { old, new } => format!(", \"old\": {old}, \"new\": {new}"),
+        LineEvent::Store | LineEvent::Fetch | LineEvent::Evict | LineEvent::Transition => String::new(),
+    }
 }
 
 fn usage(msg: &str) -> ! {
@@ -741,6 +793,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn parse_watch_accepts_hex_with_and_without_prefix() {
+        assert_eq!(parse_watch("0x40001080"), Ok(0x4000_1080));
+        assert_eq!(parse_watch("0X40001080"), Ok(0x4000_1080));
+        assert_eq!(parse_watch("40001080"), Ok(0x4000_1080));
+        assert_eq!(parse_watch("  0xdeadbeef \n"), Ok(0xdead_beef));
+        assert_eq!(parse_watch("0"), Ok(0));
+    }
+
+    #[test]
+    fn parse_watch_rejects_garbage_with_a_clear_error() {
+        for bad in ["", "0x", "xyzzy", "0x1g", "-4", "0x100000000"] {
+            let err = parse_watch(bad).expect_err(bad);
+            assert!(
+                err.contains(&format!("{bad:?}")) && err.contains("0x prefix"),
+                "error for {bad:?} should echo the input and the accepted \
+                 formats, got: {err}"
+            );
+        }
+    }
+
     /// `--shards` accepts `auto` (case-insensitive) and `0` as the
     /// host-parallelism sentinel, plus ordinary positive integers.
     #[test]
@@ -817,29 +890,25 @@ mod tests {
     #[test]
     fn chrome_trace_orders_tracks_and_timestamps() {
         use cohesion_sim::timeline::{EscalationCause, Span, TimelineSnapshot, CAUSES};
-        let span = |track, name, start_us, dur_us, cause| Span {
+        let span = |track, name, start_us, dur_us, mark| Span {
             track,
             name,
             start_us,
             dur_us,
             cycle: 7,
-            cause,
+            mark,
         };
+        let probe = LineEvent::Probe { target: 3, invalidate: true, writeback: 0b10 };
         let snap = TimelineSnapshot {
             spans: vec![
-                span(Track::Lane(1), "phase_a", 50, 10, None),
-                span(Track::Serial, "phase_b", 60, 5, None),
-                span(
-                    Track::Lane(1),
-                    "escalate",
-                    40,
-                    0,
-                    Some(EscalationCause::Atomic),
-                ),
-                span(Track::Lane(0), "phase_a", 45, 12, None),
+                span(Track::Lane(1), "phase_a", 50, 10, Mark::None),
+                span(Track::Serial, "phase_b", 60, 5, Mark::None),
+                span(Track::Lane(1), "escalate", 40, 0, Mark::Escalate(EscalationCause::Atomic)),
+                span(Track::Lane(0), "phase_a", 45, 12, Mark::None),
+                span(Track::Serial, "probe", 61, 0, Mark::Line(9, probe)),
             ],
             dropped: 0,
-            crew_spans: vec![span(Track::Crew(0), "crew_run", 55, 3, None)],
+            crew_spans: vec![span(Track::Crew(0), "crew_run", 55, 3, Mark::None)],
             crew_dropped: 0,
             epochs: 1,
             fast_slices: 3,
@@ -853,6 +922,10 @@ mod tests {
         assert!(trace.contains("\"name\": \"lane 1\""));
         assert!(trace.contains("\"name\": \"crew 0\""));
         assert!(trace.contains("\"cause\": \"atomic\""));
+        assert!(trace.contains(
+            "\"name\": \"probe\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": 0, \"ts\": 61, \
+             \"args\": {\"cycle\": 7, \"line\": 9, \"target\": 3, \"invalidate\": true, \"writeback\": 2}"
+        ));
         // Lane 1's instant (ts 40) must precede its phase_a (ts 50).
         let i_escalate = trace.find("\"escalate\"").unwrap();
         let i_lane1_phase = trace

@@ -31,7 +31,7 @@ use cohesion_sim::link::Throttle;
 use cohesion_sim::metrics::Registry;
 use cohesion_sim::msg::MessageClass;
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
-use cohesion_sim::timeline::EscalationCause;
+use cohesion_sim::timeline::{EscalationCause, Level, LineEvent};
 use cohesion_sim::Cycle;
 
 use crate::config::MachineConfig;
@@ -137,8 +137,9 @@ pub(crate) trait Access {
     fn metrics_mut(&mut self) -> &mut Registry;
     /// The region profiler, when one is armed.
     fn profiler(&mut self) -> Option<&mut RegionProfiler>;
-    /// Records a protocol event for `line` if the trace log watches it.
-    fn trace(&mut self, t: Cycle, line: LineAddr, kind: &'static str, what: std::fmt::Arguments<'_>);
+    /// Records `event` on the view's timeline track if `line` is the
+    /// watched line.
+    fn trace(&mut self, t: Cycle, line: LineAddr, event: LineEvent);
     /// Opens a timeline service span (`None` when disarmed).
     fn span_start(&self) -> Option<u64>;
     /// Closes the `l3_service` span of a line fetch issued at `issued`.
@@ -242,9 +243,8 @@ pub(crate) fn probe<S: Access>(
     if let Some((data, mask)) = wb {
         l3_write_words(s, bank, line, &data, mask, t_at_l2);
     }
-    s.trace(t, line, "probe", format_args!(
-        "{target} inv={invalidate} wb={:?}", wb.map(|(_, m)| m)
-    ));
+    let writeback = wb.map_or(0, |(_, mask)| mask);
+    s.trace(t, line, LineEvent::Probe { target: target.0, invalidate, writeback });
     note_msg(s, target, line, MessageClass::ProbeResponse, t_at_l2);
     s.request(target, bank, t_at_l2)
 }
@@ -291,9 +291,7 @@ fn fetch_line<S: Access>(
     class: MessageClass,
     t_issue: Cycle,
 ) -> (Cycle, [u32; WORDS_PER_LINE], Option<HwState>) {
-    s.trace(t_issue, line, "fetch", format_args!(
-        "by {cluster} excl={exclusive} {class:?}"
-    ));
+    s.trace(t_issue, line, LineEvent::Fetch);
     note_msg(s, cluster, line, class, t_issue);
     let svc = s.span_start();
     let bank = bank_of(s, line);
@@ -470,7 +468,7 @@ pub(crate) fn load<S: Access>(
     if let Some(l) = s.l1d(core).access(line) {
         if l.word_valid(w) {
             let v = l.data[w];
-            s.trace(t, line, "load", format_args!("l1hit by {core} w{w} -> {v:#x}"));
+            s.trace(t, line, LineEvent::Load { level: Level::L1 });
             return Ok((t + 1, v));
         }
     }
@@ -480,7 +478,7 @@ pub(crate) fn load<S: Access>(
     if let Some(l) = s.l2(cluster).access(line) {
         if l.word_valid(w) {
             let v = l.data[w];
-            s.trace(t2, line, "load", format_args!("l2hit by {core} w{w} -> {v:#x}"));
+            s.trace(t2, line, LineEvent::Load { level: Level::L2 });
             l1d_fill_word(s, core, line, w, v);
             s.metrics_mut().record_latency("latency/load", t2 - t);
             return Ok((t2, v));
@@ -510,7 +508,7 @@ pub(crate) fn load<S: Access>(
             value
         }
     };
-    s.trace(t2, line, "load", format_args!("fill by {core} w{w} -> {value:#x}"));
+    s.trace(t2, line, LineEvent::Load { level: Level::L3 });
     l1d_fill_word(s, core, line, w, value);
     s.metrics_mut().record_latency("latency/load", t2 - t);
     Ok((t2, value))
@@ -580,7 +578,7 @@ pub(crate) fn store<S: Access>(
         },
     };
 
-    s.trace(t2, line, "store", format_args!("by {core} w{w} val={value:#x}"));
+    s.trace(t2, line, LineEvent::Store);
     let t_done = match action {
         Action::WriteNow => {
             s.l2(cluster).peek_mut(line).expect("hit").write_word(w, value);
@@ -777,9 +775,7 @@ pub(crate) fn ifetch<S: Access>(
 /// silent for clean SWcc lines, read release for clean HWcc lines,
 /// writeback for dirty lines).
 fn handle_l2_eviction<S: Access>(s: &mut S, cluster: ClusterId, v: EvictedLine, t: Cycle) {
-    s.trace(t, v.addr, "evict", format_args!(
-        "from {cluster} dirty={:#x} inc={}", v.dirty_words, v.incoherent
-    ));
+    s.trace(t, v.addr, LineEvent::Evict);
     back_invalidate_l1(s, cluster, v.addr);
     let bank = bank_of(s, v.addr);
     if v.dirty_words != 0 {

@@ -1,6 +1,6 @@
 //! Machine configuration (Table 3) and the evaluated design points (§4.1).
 
-use cohesion_mem::addr::AddressMap;
+use cohesion_mem::addr::{AddressMap, LineAddr};
 use cohesion_mem::cache::CacheConfig;
 use cohesion_mem::dram::DramConfig;
 use cohesion_protocol::directory::{DirCapacity, DirectoryConfig};
@@ -257,6 +257,12 @@ pub struct MachineConfig {
     /// Armed, only wall-clock span fields vary run to run — the
     /// deterministic summary counters never depend on host threads.
     pub timeline: bool,
+    /// The cache line whose protocol events the armed timeline records
+    /// as typed instants ([`cohesion_sim::timeline::LineEvent`]), on the
+    /// track of whichever phase ran the operation. Takes effect only
+    /// with [`MachineConfig::timeline`] set, and never changes which
+    /// code path runs. `None` (the default) watches nothing.
+    pub watch: Option<LineAddr>,
     /// Worker threads sharding one run's execution (conservative PDES
     /// over cluster lanes). This is *host* parallelism only: simulated
     /// results are byte-identical at any shard count, so `shards` is
@@ -336,6 +342,7 @@ impl MachineConfig {
             metrics: false,
             metrics_window: 10_000,
             timeline: false,
+            watch: None,
             shards: 1,
             lane_owned_l3: true,
         }

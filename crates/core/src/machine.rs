@@ -37,7 +37,7 @@ use cohesion_sim::link::Throttle;
 use cohesion_sim::metrics::{Registry, Snapshot};
 use cohesion_sim::msg::MessageClass;
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
-use cohesion_sim::timeline::EscalationCause;
+use cohesion_sim::timeline::{EscalationCause, LineEvent};
 use cohesion_sim::Cycle;
 
 use crate::access::{self, Access, Guard, Stop};
@@ -127,33 +127,13 @@ pub struct Machine {
     transitions_to_sw: u64,
     transitions_to_hw: u64,
     profiler: RegionProfiler,
-    /// Structured protocol event log. Armed programmatically via
-    /// [`Machine::trace_log_mut`] or by `COHESION_WATCH=0xADDR` (which
-    /// watches one line and echoes to stderr).
-    tracelog: cohesion_sim::tracelog::TraceLog,
     /// Machine-wide telemetry. Disarmed (every record call a single
     /// branch) unless [`MachineConfig::metrics`] is set.
     metrics: Registry,
-    /// Shard-epoch flight recorder. Disarmed (every record call a
-    /// single branch) unless [`MachineConfig::timeline`] is set.
+    /// Shard-epoch flight recorder, with the protocol events of the
+    /// watched line. Disarmed (every record call a single branch) unless
+    /// [`MachineConfig::timeline`] is set.
     timeline: cohesion_sim::timeline::Timeline,
-}
-
-/// Parses a `COHESION_WATCH` value: a hexadecimal byte address, with or
-/// without a leading `0x`/`0X` prefix.
-fn parse_watch(raw: &str) -> Result<u32, String> {
-    let v = raw.trim();
-    let digits = v
-        .strip_prefix("0x")
-        .or_else(|| v.strip_prefix("0X"))
-        .unwrap_or(v);
-    u32::from_str_radix(digits, 16).map_err(|_| {
-        format!(
-            "cannot parse {raw:?} as a watch address; accepted formats are \
-             hexadecimal byte addresses with or without a 0x prefix \
-             (e.g. COHESION_WATCH=0x40001080 or COHESION_WATCH=40001080)"
-        )
-    })
 }
 
 impl Machine {
@@ -238,16 +218,6 @@ impl Machine {
             transitions_to_sw: 0,
             transitions_to_hw: 0,
             profiler: RegionProfiler::default(),
-            tracelog: {
-                let mut log = cohesion_sim::tracelog::TraceLog::new();
-                if let Ok(v) = std::env::var("COHESION_WATCH") {
-                    match parse_watch(&v) {
-                        Ok(a) => log.watch_line(Addr(a).line().0, true),
-                        Err(e) => eprintln!("COHESION_WATCH ignored: {e}"),
-                    }
-                }
-                log
-            },
             metrics: if cfg.metrics {
                 Registry::armed(cfg.metrics_window)
             } else {
@@ -256,24 +226,13 @@ impl Machine {
             timeline: if cfg.timeline {
                 cohesion_sim::timeline::Timeline::armed(
                     cohesion_sim::timeline::DEFAULT_CAPACITY,
+                    cfg.watch.map(|line| line.0),
                 )
             } else {
                 cohesion_sim::timeline::Timeline::disarmed()
             },
             cfg,
         }
-    }
-
-    /// The protocol event log (arm with
-    /// [`cohesion_sim::tracelog::TraceLog::watch_line`] /
-    /// [`cohesion_sim::tracelog::TraceLog::watch_all`]).
-    pub fn trace_log_mut(&mut self) -> &mut cohesion_sim::tracelog::TraceLog {
-        &mut self.tracelog
-    }
-
-    /// Read access to the protocol event log.
-    pub fn trace_log(&self) -> &cohesion_sim::tracelog::TraceLog {
-        &self.tracelog
     }
 
     /// The shard-epoch flight recorder (armed iff
@@ -476,9 +435,7 @@ impl Machine {
         }
 
         let (old, new) = self.l3_rmw(bank, addr, kind, operand, &mut tb);
-        self.trace(tb, line, "atomic", format_args!(
-            "by {cluster} {kind:?} w{} {old:#x}->{new:#x}", addr.word_index()
-        ));
+        self.trace(tb, line, LineEvent::Atomic { old, new });
 
         // Directory snoop of the fine-grain tables (§3.6) — per-process
         // tables each cover their own snooped range (§3.5).
@@ -521,7 +478,7 @@ impl Machine {
     ) -> Result<Cycle, MachineError> {
         debug_assert_eq!(access::bank_of(self, line), bank, "transition at the wrong home bank");
         let clusters = self.cfg.clusters();
-        self.trace(t, line, "transition", format_args!("to {to:?}"));
+        self.trace(t, line, LineEvent::Transition);
         let mut done = t;
         self.metrics.sample_add("transitions", t, 1);
         match to {
@@ -826,7 +783,7 @@ impl Machine {
     }
 
     /// Summarizes the telemetry registry plus the derived per-cluster,
-    /// per-bank, interconnect, DRAM, and tracelog breakdowns into a
+    /// per-bank, interconnect, and DRAM breakdowns into a
     /// finalized [`Snapshot`], or `None` when telemetry is disarmed.
     ///
     /// Everything here is read from counters the machine maintains anyway
@@ -914,11 +871,6 @@ impl Machine {
         s.push_counter("transitions/to_swcc", self.transitions_to_sw);
         s.push_counter("transitions/to_hwcc", self.transitions_to_hw);
         s.push_counter("races/detected", self.races.len() as u64);
-
-        // Tracelog truncation visibility (the ring drops oldest-first when
-        // full; a non-zero dropped count means the log is a suffix).
-        s.push_counter("tracelog/dropped_events", self.tracelog.dropped());
-        s.push_counter("tracelog/buffered_events", self.tracelog.events().count() as u64);
 
         s.finalize();
         Some(s)
@@ -1214,10 +1166,8 @@ impl Access for Machine {
     fn profiler(&mut self) -> Option<&mut RegionProfiler> {
         (!self.profiler.is_empty()).then_some(&mut self.profiler)
     }
-    fn trace(&mut self, t: Cycle, line: LineAddr, kind: &'static str, what: std::fmt::Arguments<'_>) {
-        if self.tracelog.wants(line.0) {
-            self.tracelog.record(t, line.0, kind, what.to_string());
-        }
+    fn trace(&mut self, t: Cycle, line: LineAddr, event: LineEvent) {
+        self.timeline.line(t, line.0, event);
     }
     fn span_start(&self) -> Option<u64> {
         self.timeline.start()
@@ -1307,9 +1257,9 @@ pub struct LaneScratch {
     /// lane runs them. Counter and histogram merges are commutative, so
     /// the fold order cannot be observed.
     pub metrics: Registry,
-    /// Lane-local timeline buffer: phase A spans and escalation events
-    /// recorded off the serial thread, absorbed into the machine
-    /// recorder in fixed lane order after every window.
+    /// Lane-local timeline buffer: phase A spans, escalation events and
+    /// watched-line events recorded off the serial thread, absorbed into
+    /// the machine recorder in fixed lane order after every window.
     pub timeline: cohesion_sim::timeline::LaneTimeline,
 }
 
@@ -1326,7 +1276,7 @@ pub struct LaneScratch {
 /// state and refuses, with the [`EscalationCause`] of the first resource
 /// out of reach, every operation whose action would touch anything else:
 /// a DRAM access, another lane's bank, a probe to another cluster, a
-/// directory victim, an uncached atomic, a machine-global recorder.
+/// directory victim, an uncached atomic, the region profiler.
 ///
 /// A refusal leaves no trace, so the serial replay on the machine
 /// observes exactly the state a serial-only engine would have produced
@@ -1340,9 +1290,6 @@ pub struct LaneCtx<'a> {
     cfg: &'a MachineConfig,
     map: AddressMap,
     ownership: BankOwnership,
-    /// `false` => the guard refuses everything: the trace log is armed
-    /// and all protocol records must happen serially, in canonical order.
-    fast: bool,
     /// A region profiler (machine-global state) is armed: the guard
     /// refuses every operation that would feed it.
     profiled: bool,
@@ -1401,9 +1348,9 @@ impl LaneCtx<'_> {
             return Err(L3Remote);
         }
         let slot = self.ownership.slot_of(bank);
-        // A trace log or profiler (machine-global records), owned-bank
-        // servicing switched off, or a DRAM fill.
-        if !self.fast || self.profiled || !self.cfg.lane_owned_l3 || self.l3[slot].peek(line).is_none() {
+        // The profiler (machine-global), owned-bank servicing switched
+        // off, or a DRAM fill.
+        if self.profiled || !self.cfg.lane_owned_l3 || self.l3[slot].peek(line).is_none() {
             return Err(L3Local);
         }
         let Some(dirs) = self.dirs.as_ref() else {
@@ -1483,7 +1430,7 @@ impl Access for LaneCtx<'_> {
             Guard::Load(core, addr) => {
                 let (line, w) = (addr.line(), addr.word_index());
                 let in_l1 = self.l1d[self.local(core)].peek(line).is_some_and(|l| l.word_valid(w));
-                if self.fast && (in_l1 || self.l2.peek(line).is_some_and(|l| l.word_valid(w))) {
+                if in_l1 || self.l2.peek(line).is_some_and(|l| l.word_valid(w)) {
                     return Ok(());
                 }
                 self.fetch_ok(line, false)?;
@@ -1495,13 +1442,12 @@ impl Access for LaneCtx<'_> {
             Guard::Ifetch(core, addr) => {
                 let line = addr.line();
                 let cached = self.l1i[self.local(core)].peek(line).is_some() || self.l2.peek(line).is_some();
-                if self.fast && cached {
+                if cached {
                     return Ok(());
                 }
                 self.fetch_ok(line, false)?;
                 self.victim_ok(line)
             }
-            Guard::Store(_) if !self.fast => Err(EscalationCause::Directory),
             Guard::Store(addr) => {
                 let line = addr.line();
                 match self.l2.peek(line) {
@@ -1519,12 +1465,10 @@ impl Access for LaneCtx<'_> {
                     },
                 }
             }
-            Guard::Flush(_) if !self.fast => Err(EscalationCause::Noc),
             Guard::Flush(line) => match self.l2.peek(line) {
                 Some(l) if l.incoherent && l.dirty_words != 0 => self.release_ok(line, true),
                 _ => Ok(()),
             },
-            Guard::Invalidate if !self.fast => Err(EscalationCause::Directory),
             Guard::Invalidate if self.profiled => Err(EscalationCause::L3Local),
             Guard::Invalidate => Ok(()),
         }
@@ -1603,8 +1547,8 @@ impl Access for LaneCtx<'_> {
     fn profiler(&mut self) -> Option<&mut RegionProfiler> {
         None // the guard refused whatever would feed it
     }
-    fn trace(&mut self, _: Cycle, _: LineAddr, _: &'static str, _: std::fmt::Arguments<'_>) {
-        // The guard refuses everything while the trace log is armed.
+    fn trace(&mut self, t: Cycle, line: LineAddr, event: LineEvent) {
+        self.scratch.timeline.line(self.cluster.0, t, line.0, event);
     }
     fn span_start(&self) -> Option<u64> {
         self.scratch.timeline.start()
@@ -1626,11 +1570,7 @@ impl Machine {
                 } else {
                     Registry::disarmed()
                 },
-                timeline: if self.timeline.is_armed() {
-                    cohesion_sim::timeline::LaneTimeline::armed(self.timeline.epoch_instant())
-                } else {
-                    cohesion_sim::timeline::LaneTimeline::disarmed()
-                },
+                timeline: self.timeline.lane(),
             })
             .collect()
     }
@@ -1658,7 +1598,6 @@ impl Machine {
         let cpc = self.cfg.cores_per_cluster as usize;
         let n = self.cfg.clusters() as usize;
         assert_eq!(scratches.len(), n, "one scratch per cluster");
-        let fast = !self.tracelog.armed();
         let profiled = !self.profiler.is_empty();
         let Machine {
             cfg,
@@ -1720,7 +1659,6 @@ impl Machine {
                 cfg,
                 map: *map,
                 ownership: own,
-                fast,
                 profiled,
                 processes,
                 mem,
@@ -1761,27 +1699,6 @@ mod tests {
 
     fn inc_addr(m: &Machine, off: u32) -> Addr {
         Addr(m.layout().incoherent_heap.start.0 + off)
-    }
-
-    #[test]
-    fn parse_watch_accepts_hex_with_and_without_prefix() {
-        assert_eq!(parse_watch("0x40001080"), Ok(0x4000_1080));
-        assert_eq!(parse_watch("0X40001080"), Ok(0x4000_1080));
-        assert_eq!(parse_watch("40001080"), Ok(0x4000_1080));
-        assert_eq!(parse_watch("  0xdeadbeef \n"), Ok(0xdead_beef));
-        assert_eq!(parse_watch("0"), Ok(0));
-    }
-
-    #[test]
-    fn parse_watch_rejects_garbage_with_a_clear_error() {
-        for bad in ["", "0x", "xyzzy", "0x1g", "-4", "0x100000000"] {
-            let err = parse_watch(bad).expect_err(bad);
-            assert!(
-                err.contains(&format!("{bad:?}")) && err.contains("0x prefix"),
-                "error for {bad:?} should echo the input and the accepted \
-                 formats, got: {err}"
-            );
-        }
     }
 
     #[test]
@@ -2357,69 +2274,70 @@ mod dir4b_tests {
 }
 
 #[cfg(test)]
-mod tracelog_tests {
+mod line_event_tests {
     use super::*;
     use crate::config::DesignPoint;
     use cohesion_runtime::layout::{Layout, LayoutConfig};
+    use cohesion_sim::timeline::{Level, Mark, Track};
 
-    fn machine() -> Machine {
+    /// A booted 16-core machine whose armed timeline watches the line of
+    /// the address `at` picks.
+    fn watching(dp: DesignPoint, at: impl FnOnce(&Layout) -> Addr) -> (Machine, Addr) {
         let layout = Layout::new(&LayoutConfig::new(16));
-        let mut m = Machine::new(MachineConfig::scaled(16, DesignPoint::cohesion(1024, 128)), layout);
+        let a = at(&layout);
+        let mut cfg = MachineConfig::scaled(16, dp);
+        cfg.timeline = true;
+        cfg.watch = Some(a.line());
+        let mut m = Machine::new(cfg, layout);
         m.boot();
-        m
+        (m, a)
+    }
+
+    /// The watched line's events with their tracks, in record order.
+    fn events(m: &Machine) -> Vec<(Track, LineEvent)> {
+        let line = |s: &cohesion_sim::timeline::Span| match s.mark {
+            Mark::Line(_, e) => Some((s.track, e)),
+            _ => None,
+        };
+        m.timeline().spans().filter_map(line).collect()
     }
 
     #[test]
-    fn transition_event_sequence_is_ordered() {
-        let mut m = machine();
-        let a = Addr(m.layout().incoherent_heap.start.0 + 0x40);
-        let line = a.line();
-        m.trace_log_mut().watch_line(line.0, false);
-
-        // Dirty the line under SWcc in cluster 0, then transition to HWcc:
-        // the log must show store -> atomic(table)?? no — the table word is
-        // a different line; the watched line sees: store, transition, and
-        // the case-3b bookkeeping.
+    fn the_store_precedes_the_transition() {
+        let (mut m, a) = watching(DesignPoint::cohesion(1024, 128), |l| Addr(l.incoherent_heap.start.0 + 0x40));
+        // Dirty the line under SWcc in cluster 0, then move it to HWcc
+        // (the table word is another line).
         let t = m.store(CoreId(0), a, 7, 0);
-        let slot = m.fine_table().slot_of(line);
-        let _ = m
-            .atomic(ClusterId(0), slot.word, AtomicKind::And, !(1 << slot.bit), t + 10)
+        let slot = m.fine_table().slot_of(a.line());
+        m.atomic(ClusterId(0), slot.word, AtomicKind::And, !(1 << slot.bit), t + 10)
             .expect("transition");
-
-        let kinds: Vec<&str> = m.trace_log().events().map(|e| e.kind).collect();
-        assert_eq!(kinds.first(), Some(&"store"));
-        assert!(
-            kinds.contains(&"transition"),
-            "the SWcc->HWcc transition must be logged: {kinds:?}"
-        );
-        let store_pos = kinds.iter().position(|&k| k == "store").unwrap();
-        let trans_pos = kinds.iter().position(|&k| k == "transition").unwrap();
-        assert!(store_pos < trans_pos, "store precedes the transition");
+        let kinds: Vec<LineEvent> = events(&m).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(kinds.first(), Some(&LineEvent::Store));
+        assert!(kinds.contains(&LineEvent::Transition), "the transition is recorded: {kinds:?}");
     }
 
     #[test]
-    fn probe_events_identify_the_target() {
-        let mut m = machine();
-        let a = Addr(m.layout().coherent_heap.start.0 + 0x40);
-        m.trace_log_mut().watch_line(a.line().0, false);
+    fn a_probe_names_its_target_and_writeback() {
+        let (mut m, a) = watching(DesignPoint::cohesion(1024, 128), |l| Addr(l.coherent_heap.start.0 + 0x40));
         let t = m.store(CoreId(0), a, 1, 0); // cluster 0 owns M
         let _ = m.load(CoreId(8), a, t + 100); // cluster 1 pulls it
-        let probes: Vec<_> = m.trace_log().of_kind("probe").collect();
-        assert_eq!(probes.len(), 1);
-        assert!(probes[0].detail.contains("cluster0"), "{}", probes[0].detail);
-        assert!(probes[0].detail.contains("inv=false"), "downgrade, not inval");
+        let probes: Vec<LineEvent> = events(&m)
+            .into_iter()
+            .map(|(_, e)| e)
+            .filter(|e| matches!(e, LineEvent::Probe { .. }))
+            .collect();
+        assert_eq!(probes, [LineEvent::Probe { target: 0, invalidate: false, writeback: 0b1 }]);
     }
 
     #[test]
-    fn watch_all_captures_multiple_lines() {
-        let mut m = machine();
-        m.trace_log_mut().watch_all(64);
-        let a = Addr(m.layout().coherent_heap.start.0);
-        let b = Addr(m.layout().coherent_heap.start.0 + 0x200);
-        let t = m.store(CoreId(0), a, 1, 0);
-        m.store(CoreId(0), b, 2, t);
-        let lines: std::collections::HashSet<u32> =
-            m.trace_log().events().map(|e| e.line).collect();
-        assert!(lines.len() >= 2);
+    fn a_lane_admits_a_watched_load_and_records_it() {
+        let (mut m, a) = watching(DesignPoint::cohesion(16 * 1024, 128), |l| l.coherent_heap.start);
+        let (t, _) = m.load(CoreId(0), a, 0); // into cluster 0's L2
+        let mut scratches = m.new_lane_scratches();
+        let mut lanes = m.lanes(&mut scratches);
+        assert_eq!(access::load(&mut lanes[0], CoreId(1), a, t).err(), None, "the lane refused");
+        drop(lanes);
+        m.timeline_mut().absorb_lane(&mut scratches[0].timeline);
+        assert_eq!(events(&m).last(), Some(&(Track::Lane(0), LineEvent::Load { level: Level::L2 })));
     }
 }

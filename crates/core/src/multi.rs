@@ -276,13 +276,14 @@ fn step_core(
     mut t: Cycle,
 ) -> Result<bool, RunError> {
     let budget = t + QUANTUM;
-    let cs = &mut cores[core_idx as usize];
+    let (core, cs) = (CoreId(core_idx), &mut cores[core_idx as usize]);
     loop {
         if cs.task.is_none() {
-            let (t2, _) = machine.atomic(cs.cluster, job.queue_addr, AtomicKind::Add, 1, t)?;
-            t = t2 + machine.config().dequeue_overhead;
+            let dequeue = machine.atomic(cs.cluster, job.queue_addr, AtomicKind::Add, 1, t);
+            t = dequeue.map_err(|e| cs.failed(core, t, e))?.0 + machine.config().dequeue_overhead;
             if job.next_task >= job.tasks.len() {
-                machine.atomic(cs.cluster, job.barrier_addr, AtomicKind::Add, 1, t)?;
+                let arrive = machine.atomic(cs.cluster, job.barrier_addr, AtomicKind::Add, 1, t);
+                arrive.map_err(|e| cs.failed(core, t, e))?;
                 job.arrived += 1;
                 return Ok(job.arrived == job.cores.len());
             }
@@ -291,8 +292,8 @@ fn step_core(
             cs.pc_line = 0;
             cs.fetch_counter = 0;
         }
-        run_ops(machine, cs, CoreId(core_idx), &mut t, budget, &job.tasks).map_err(|stop| match stop {
-            Stop::Fail(e) => RunError::Machine(e),
+        run_ops(machine, cs, core, &mut t, budget, &job.tasks).map_err(|stop| match stop {
+            Stop::Fail(e) => cs.failed(core, t, e),
             Stop::Escalate { .. } => unreachable!("the machine never refuses"),
         })?;
         if cs.task.is_some() {

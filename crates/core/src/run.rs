@@ -10,7 +10,7 @@ use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::ids::{ClusterId, CoreId};
 use cohesion_sim::shard::LaneQueues;
-use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, Span, Track, CREW_RING_CAPACITY};
+use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, CREW_RING_CAPACITY};
 use cohesion_sim::Cycle;
 use std::sync::Arc;
 
@@ -140,7 +140,13 @@ pub enum RunError {
     /// Setup/allocation failure.
     Runtime(RuntimeError),
     /// A coherence failure surfaced during execution.
-    Machine(MachineError),
+    Machine {
+        /// What failed.
+        error: MachineError,
+        /// The core operation it surfaced in; `None` for the runtime's
+        /// region transitions.
+        site: Option<OpSite>,
+    },
     /// Final verification failed.
     Verify(String),
 }
@@ -149,7 +155,8 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Runtime(e) => write!(f, "runtime error: {e}"),
-            RunError::Machine(e) => write!(f, "machine error: {e}"),
+            RunError::Machine { error, site: None } => write!(f, "machine error: {error}"),
+            RunError::Machine { error, site: Some(site) } => write!(f, "machine error: {error} ({site})"),
             RunError::Verify(e) => write!(f, "verification failed: {e}"),
         }
     }
@@ -164,8 +171,30 @@ impl From<RuntimeError> for RunError {
 }
 
 impl From<MachineError> for RunError {
-    fn from(e: MachineError) -> Self {
-        RunError::Machine(e)
+    fn from(error: MachineError) -> Self {
+        RunError::Machine { error, site: None }
+    }
+}
+
+/// Where a core's failed operation was issued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpSite {
+    /// The issuing core.
+    pub core: CoreId,
+    /// `(task, op)` indices into the phase, or `None` while the core was
+    /// dequeuing a task or arriving at the barrier.
+    pub op: Option<(usize, usize)>,
+    /// The operation's issue cycle.
+    pub cycle: Cycle,
+}
+
+impl std::fmt::Display for OpSite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.op {
+            Some((task, op)) => write!(f, "{} task {task} op {op}", self.core)?,
+            None => write!(f, "{} dequeue", self.core)?,
+        }
+        write!(f, " at cycle {}", self.cycle)
     }
 }
 
@@ -205,6 +234,13 @@ impl CoreState {
             fetch_counter: 0,
             pc_line: 0,
         }
+    }
+
+    /// The run error for `error`, raised at `cycle` by this core's
+    /// current operation (its dequeue, when it has no task).
+    pub(crate) fn failed(&self, core: CoreId, cycle: Cycle, error: MachineError) -> RunError {
+        let site = OpSite { core, op: self.task, cycle };
+        RunError::Machine { error, site: Some(site) }
     }
 }
 
@@ -354,7 +390,7 @@ fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
             }
         }
     }
-    w.ctx.timeline().finish_phase_a(lane, span_start, window_cycle);
+    w.ctx.timeline().service("phase_a", lane, span_start, window_cycle);
 }
 
 /// Empties `jobs` and hands its allocation to jobs of another borrow, so
@@ -655,22 +691,12 @@ impl Exec {
                 };
                 match resumed {
                     Ok(()) => phase_end = phase_end.max(t),
-                    Err(Stop::Fail(e)) => return Err(self.failure(core, t, e)),
+                    Err(Stop::Fail(e)) => return Err(self.cores[core as usize].failed(CoreId(core), t, e)),
                     Err(Stop::Escalate { .. }) => unreachable!("the machine never refuses"),
                 }
             }
             self.serial = serial;
-            if let Some(t0) = span_b {
-                let now = machine.timeline().now_us();
-                machine.timeline_mut().push(Span {
-                    track: Track::Serial,
-                    name: "phase_b",
-                    start_us: t0,
-                    dur_us: now.saturating_sub(t0),
-                    cycle: window_cycle,
-                    cause: None,
-                });
-            }
+            machine.timeline_mut().service("phase_b", span_b, window_cycle);
         }
 
         // 4. Barrier release broadcast.
@@ -760,20 +786,6 @@ impl Exec {
                 return Ok(());
             }
         }
-    }
-
-    /// Turns a failed operation into the run's error, printing where it
-    /// happened when `COHESION_DEBUG` is set. Both phases surface their
-    /// failures here.
-    fn failure(&self, core: u32, t: Cycle, e: MachineError) -> RunError {
-        if std::env::var_os("COHESION_DEBUG").is_some() {
-            let at = match self.cores[core as usize].task {
-                Some((task, op)) => format!("task {task} op {op}"),
-                None => "dequeue".to_string(),
-            };
-            eprintln!("op failure: core {} {at} at cycle {t}: {e}", CoreId(core));
-        }
-        RunError::Machine(e)
     }
 }
 

@@ -35,6 +35,7 @@ pub fn execute(req: &RunRequest) -> Result<String, String> {
         seed: req.seed,
         metrics_out: None,
         trace_out: None,
+        watch: None,
     };
     let mut cfg = opts.config(dp);
     cfg.metrics = true;

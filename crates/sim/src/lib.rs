@@ -19,8 +19,9 @@
 //!   JSON run reports.
 //! * [`timeline`] — the opt-in shard-epoch flight recorder: a bounded
 //!   ring of typed wall-clock spans (phase A/B, cache/DRAM service,
-//!   crew park/run) with deterministic escalation-cause attribution,
-//!   exported as Chrome trace-event JSON plus a deterministic summary.
+//!   crew park/run) with deterministic escalation-cause attribution and
+//!   the typed protocol events of one watched cache line, exported as
+//!   Chrome trace-event JSON plus a deterministic summary.
 //!
 //! The engine is fully deterministic: two runs with the same
 //! configuration produce bit-identical statistics, which is what makes
@@ -55,7 +56,6 @@ pub mod shard;
 pub mod slots;
 pub mod stats;
 pub mod timeline;
-pub mod tracelog;
 
 /// A point in simulated time, measured in core clock cycles.
 ///

@@ -7,9 +7,9 @@
 //! [`Span`]s — per-epoch × per-lane phase A steps, phase B serial
 //! replays, cache-tier/DRAM service intervals, crew worker park/run
 //! intervals — plus escalation events tagged with an
-//! [`EscalationCause`]. Like [`crate::tracelog::TraceLog`], the ring
-//! drops **oldest-first** when full and counts what it dropped, so a
-//! truncated timeline is always an honest suffix.
+//! [`EscalationCause`] and the protocol events of one watched cache line
+//! ([`LineEvent`]). The ring drops **oldest-first** when full and counts
+//! what it dropped, so a truncated timeline is always an honest suffix.
 //!
 //! # Determinism contract
 //!
@@ -56,20 +56,16 @@ pub enum EscalationCause {
     /// or write-through); the region profiler is armed (any operation
     /// that would feed it); owned-bank servicing is off
     /// (`lane_owned_l3 = false`); or the line-granular SWcc ablation
-    /// needs a fetch before a write. An armed trace log also returns it
-    /// for a load or instruction fetch homed on an owned bank.
+    /// needs a fetch before a write.
     L3Local,
     /// A line fetch (load, instruction fetch, store miss, or ownership
-    /// upgrade) whose home bank belongs to another lane. An armed trace
-    /// log also returns it for a load or instruction fetch homed there.
+    /// upgrade) whose home bank belongs to another lane.
     L3Remote,
     /// A fetch whose directory transition needs probes to other
-    /// clusters, or whose directory insertion would evict an entry. An
-    /// armed trace log also returns it for a store or an invalidate.
+    /// clusters, or whose directory insertion would evict an entry.
     Directory,
     /// A flush writeback, L2-victim writeback, or read release bound for
-    /// another lane's bank. An armed trace log also returns it for a
-    /// flush.
+    /// another lane's bank.
     Noc,
     /// An uncached atomic operation.
     Atomic,
@@ -142,15 +138,88 @@ pub enum Track {
     Crew(u32),
 }
 
-/// One recorded interval (or instant, when `dur_us == 0` and the name
-/// marks an event). Wall-clock fields are microseconds since the
-/// recorder's epoch; `cycle` anchors the span in simulated time.
+/// The level of the hierarchy that served a load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// The core's L1D.
+    L1,
+    /// The cluster's L2.
+    L2,
+    /// A line fetch from the home L3 bank (and DRAM behind it).
+    L3,
+}
+
+/// What one operation did to the watched cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineEvent {
+    /// A core load, and the level that served it.
+    Load {
+        /// The serving level.
+        level: Level,
+    },
+    /// A core store.
+    Store,
+    /// A line fetch to the home bank: a miss or an ownership upgrade.
+    Fetch,
+    /// A directory probe to one cluster's L2.
+    Probe {
+        /// The probed cluster.
+        target: u32,
+        /// Invalidate (else downgrade to Shared).
+        invalidate: bool,
+        /// The dirty words the probe wrote back (0: none).
+        writeback: u8,
+    },
+    /// The line left an L2 (a capacity or conflict eviction).
+    Evict,
+    /// A Figure 7 domain transition at the home bank.
+    Transition,
+    /// An uncached atomic on a word of the line.
+    Atomic {
+        /// The word before the operation.
+        old: u32,
+        /// The word after it.
+        new: u32,
+    },
+}
+
+impl LineEvent {
+    /// The span name the event is recorded under.
+    pub fn name(self) -> &'static str {
+        match self {
+            LineEvent::Load { .. } => "load",
+            LineEvent::Store => "store",
+            LineEvent::Fetch => "fetch",
+            LineEvent::Probe { .. } => "probe",
+            LineEvent::Evict => "evict",
+            LineEvent::Transition => "transition",
+            LineEvent::Atomic { .. } => "atomic",
+        }
+    }
+}
+
+/// What a zero-duration instant marks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mark {
+    /// Nothing: an interval.
+    None,
+    /// A slice escalated, for this cause.
+    Escalate(EscalationCause),
+    /// A protocol event on the watched line (line address = byte
+    /// address / 32).
+    Line(u32, LineEvent),
+}
+
+/// One recorded interval, or an instant when it carries a [`Mark`].
+/// Wall-clock fields are microseconds since the recorder's epoch;
+/// `cycle` anchors the span in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Exported track.
     pub track: Track,
     /// Span kind (`"phase_a"`, `"phase_b"`, `"escalate"`,
-    /// `"l3_service"`, `"dram_service"`, `"crew_run"`, `"crew_park"`).
+    /// `"l3_service"`, `"dram_service"`, `"crew_run"`, `"crew_park"`, or
+    /// a [`LineEvent::name`]).
     pub name: &'static str,
     /// Wall-clock start, microseconds since the recorder epoch.
     pub start_us: u64,
@@ -158,9 +227,39 @@ pub struct Span {
     pub dur_us: u64,
     /// Simulated cycle the span is anchored to.
     pub cycle: Cycle,
-    /// Escalation cause, for `"escalate"` events.
-    pub cause: Option<EscalationCause>,
+    /// What an instant marks; [`Mark::None`] for an interval.
+    pub mark: Mark,
 }
+
+impl Span {
+    /// An interval on `track` from `start_us` to `end_us`.
+    fn interval(track: Track, name: &'static str, start_us: u64, end_us: u64, cycle: Cycle) -> Span {
+        Span {
+            track,
+            name,
+            start_us,
+            dur_us: end_us.saturating_sub(start_us),
+            cycle,
+            mark: Mark::None,
+        }
+    }
+
+    /// A line event on `track` at `now_us`.
+    fn line(track: Track, now_us: u64, cycle: Cycle, line: u32, event: LineEvent) -> Span {
+        Span {
+            track,
+            name: event.name(),
+            start_us: now_us,
+            dur_us: 0,
+            cycle,
+            mark: Mark::Line(line, event),
+        }
+    }
+}
+
+/// The `watch` value of a recorder that watches no line: a line address
+/// no byte address maps to.
+const UNWATCHED: u32 = u32::MAX;
 
 /// A frozen copy of a [`Timeline`], taken at end of run. The
 /// wall-clock spans feed the Chrome trace export; the aggregate
@@ -232,6 +331,8 @@ impl TimelineSnapshot {
 pub struct Timeline {
     armed: bool,
     epoch: Instant,
+    /// The watched line address, or [`UNWATCHED`].
+    watch: u32,
     ring: VecDeque<Span>,
     capacity: usize,
     dropped: u64,
@@ -249,6 +350,7 @@ impl Timeline {
         Timeline {
             armed: false,
             epoch: Instant::now(),
+            watch: UNWATCHED,
             ring: VecDeque::new(),
             capacity: 0,
             dropped: 0,
@@ -261,11 +363,13 @@ impl Timeline {
         }
     }
 
-    /// An armed recorder whose main ring holds up to `capacity` spans.
-    pub fn armed(capacity: usize) -> Timeline {
+    /// An armed recorder whose main ring holds up to `capacity` spans,
+    /// recording the [`LineEvent`]s of line address `watch`, if any.
+    pub fn armed(capacity: usize, watch: Option<u32>) -> Timeline {
         Timeline {
             armed: true,
             epoch: Instant::now(),
+            watch: watch.unwrap_or(UNWATCHED),
             ring: VecDeque::with_capacity(capacity.min(DEFAULT_CAPACITY)),
             capacity: capacity.max(1),
             ..Timeline::disarmed()
@@ -307,19 +411,35 @@ impl Timeline {
         self.ring.push_back(span);
     }
 
-    /// Records a serial-track service span that began at `start` (a
-    /// token from [`Timeline::start`]); no-op when the token is `None`.
+    /// Records a serial-track span (phase B or a service) that began at
+    /// `start` (a token from [`Timeline::start`]); no-op when the token
+    /// is `None`.
     pub fn service(&mut self, name: &'static str, start: Option<u64>, cycle: Cycle) {
         let Some(t0) = start else { return };
         let now = self.now_us();
-        self.push(Span {
-            track: Track::Serial,
-            name,
-            start_us: t0,
-            dur_us: now.saturating_sub(t0),
-            cycle,
-            cause: None,
-        });
+        self.push(Span::interval(Track::Serial, name, t0, now, cycle));
+    }
+
+    /// Records `event` on the serial track if `line` is the watched line
+    /// (never when disarmed): one compare on the unwatched path.
+    #[inline]
+    pub fn line(&mut self, cycle: Cycle, line: u32, event: LineEvent) {
+        if line == self.watch {
+            self.push(Span::line(Track::Serial, self.now_us(), cycle, line, event));
+        }
+    }
+
+    /// A lane buffer armed like this recorder: same epoch, same watch.
+    pub fn lane(&self) -> LaneTimeline {
+        LaneTimeline {
+            armed: self.armed,
+            epoch: self.epoch,
+            watch: self.watch,
+            spans: Vec::new(),
+            fast: 0,
+            l3_fast: 0,
+            escalated: [0; CAUSES],
+        }
     }
 
     /// Counts one executor window (epoch).
@@ -396,6 +516,7 @@ impl Timeline {
 pub struct LaneTimeline {
     armed: bool,
     epoch: Instant,
+    watch: u32,
     spans: Vec<Span>,
     fast: u64,
     l3_fast: u64,
@@ -403,31 +524,6 @@ pub struct LaneTimeline {
 }
 
 impl LaneTimeline {
-    /// A disarmed buffer (every call an early-return).
-    pub fn disarmed() -> LaneTimeline {
-        LaneTimeline {
-            armed: false,
-            epoch: Instant::now(),
-            spans: Vec::new(),
-            fast: 0,
-            l3_fast: 0,
-            escalated: [0; CAUSES],
-        }
-    }
-
-    /// An armed buffer sharing the machine recorder's `epoch` so its
-    /// span timestamps land on the same clock.
-    pub fn armed(epoch: Instant) -> LaneTimeline {
-        LaneTimeline {
-            armed: true,
-            epoch,
-            spans: Vec::new(),
-            fast: 0,
-            l3_fast: 0,
-            escalated: [0; CAUSES],
-        }
-    }
-
     /// Whether the buffer records anything.
     pub fn is_armed(&self) -> bool {
         self.armed
@@ -459,20 +555,23 @@ impl LaneTimeline {
         }
     }
 
-    /// Records a service span on the lane's own track that began at
-    /// `start` (a token from [`LaneTimeline::start`]); no-op when the
-    /// token is `None`. Used for `l3_service` spans serviced in phase A.
+    /// Records a span on the lane's own track that began at `start` (a
+    /// token from [`LaneTimeline::start`]); no-op when the token is
+    /// `None`. Used for the window's `phase_a` span and for `l3_service`
+    /// spans serviced in phase A.
     pub fn service(&mut self, name: &'static str, lane: u32, start: Option<u64>, cycle: Cycle) {
         let Some(t0) = start else { return };
         let now = self.now_us();
-        self.spans.push(Span {
-            track: Track::Lane(lane),
-            name,
-            start_us: t0,
-            dur_us: now.saturating_sub(t0),
-            cycle,
-            cause: None,
-        });
+        self.spans.push(Span::interval(Track::Lane(lane), name, t0, now, cycle));
+    }
+
+    /// Records `event` on the lane's track if `line` is the watched line
+    /// (never when disarmed): one compare on the unwatched path.
+    #[inline]
+    pub fn line(&mut self, lane: u32, cycle: Cycle, line: u32, event: LineEvent) {
+        if line == self.watch {
+            self.spans.push(Span::line(Track::Lane(lane), self.now_us(), cycle, line, event));
+        }
     }
 
     /// Counts an escalation and records its instant event on the lane's
@@ -489,22 +588,7 @@ impl LaneTimeline {
             start_us: now,
             dur_us: 0,
             cycle,
-            cause: Some(cause),
-        });
-    }
-
-    /// Closes the lane's phase A span for this window; `start` is the
-    /// token from [`LaneTimeline::start`].
-    pub fn finish_phase_a(&mut self, lane: u32, start: Option<u64>, cycle: Cycle) {
-        let Some(t0) = start else { return };
-        let now = self.now_us();
-        self.spans.push(Span {
-            track: Track::Lane(lane),
-            name: "phase_a",
-            start_us: t0,
-            dur_us: now.saturating_sub(t0),
-            cycle,
-            cause: None,
+            mark: Mark::Escalate(cause),
         });
     }
 }
@@ -553,14 +637,7 @@ impl CrewSpanLog {
             r.spans.pop_front();
             r.dropped += 1;
         }
-        r.spans.push_back(Span {
-            track: Track::Crew(worker as u32),
-            name,
-            start_us,
-            dur_us,
-            cycle: 0,
-            cause: None,
-        });
+        r.spans.push_back(Span::interval(Track::Crew(worker as u32), name, start_us, start_us + dur_us, 0));
     }
 
     /// Drains every ring (worker order) into `(spans, dropped_total)`.
@@ -587,7 +664,7 @@ mod tests {
             start_us: cycle,
             dur_us: 1,
             cycle,
-            cause: None,
+            mark: Mark::None,
         }
     }
 
@@ -603,7 +680,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_first_and_counts() {
-        let mut tl = Timeline::armed(3);
+        let mut tl = Timeline::armed(3, None);
         for c in 0..5 {
             tl.push(span("phase_b", c));
         }
@@ -617,13 +694,15 @@ mod tests {
 
     #[test]
     fn lane_counters_fold_in_and_reset() {
-        let mut tl = Timeline::armed(16);
-        let mut lane = LaneTimeline::armed(tl.epoch_instant());
+        let mut tl = Timeline::armed(2, Some(42));
+        let mut lane = tl.lane();
         lane.note_fast();
         lane.note_fast();
         lane.note_l3_fast();
         lane.note_escalation(0, 7, EscalationCause::L3Remote);
         lane.note_escalation(0, 9, EscalationCause::TaskQueue);
+        lane.line(0, 11, 42, LineEvent::Store);
+        lane.line(0, 12, 43, LineEvent::Store); // not the watched line
         tl.absorb_lane(&mut lane);
         let snap = tl.snapshot().unwrap();
         assert_eq!(snap.fast_slices, 2);
@@ -631,7 +710,11 @@ mod tests {
         assert_eq!(snap.escalated[EscalationCause::L3Remote.index()], 1);
         assert_eq!(snap.escalated[EscalationCause::TaskQueue.index()], 1);
         assert_eq!(snap.slices(), 4);
-        assert_eq!(snap.spans.len(), 2, "escalation instants landed in the ring");
+        // Three instants reached the two-span ring, so the oldest dropped.
+        assert_eq!(snap.dropped, 1);
+        let marks: Vec<Mark> = snap.spans.iter().map(|s| s.mark).collect();
+        assert_eq!(marks, [Mark::Escalate(EscalationCause::TaskQueue), Mark::Line(42, LineEvent::Store)]);
+        assert_eq!((snap.spans[1].name, snap.spans[1].cycle), ("store", 11));
         // A second absorb adds nothing: the buffer was drained and reset.
         tl.absorb_lane(&mut lane);
         assert_eq!(tl.snapshot().unwrap().slices(), 4);

@@ -94,9 +94,14 @@ impl Workload for MissingFlush {
 fn missing_flush_is_caught_under_swcc() {
     let cfg = MachineConfig::scaled(32, DesignPoint::swcc());
     let err = run_workload(&cfg, &mut MissingFlush::new(64)).unwrap_err();
+    let RunError::Machine { site: Some(site), .. } = &err else {
+        panic!("the stale verified load must abort the run at a core's operation, got: {err}");
+    };
+    // The message says where: the core, its task and op, and the cycle.
+    let msg = err.to_string();
     assert!(
-        matches!(err, RunError::Machine(_)),
-        "the stale verified load must abort the run, got: {err}"
+        msg.contains(&format!("{} task ", site.core)) && msg.contains(&format!(" at cycle {}", site.cycle)),
+        "{msg}"
     );
 }
 

@@ -10,15 +10,19 @@ use cohesion::config::{DesignPoint, MachineConfig};
 use cohesion::report::RunReport;
 use cohesion::run::run_workload;
 use cohesion_kernels::{kernel_by_name, Scale, KERNEL_NAMES};
-use cohesion_sim::timeline::EscalationCause;
+use cohesion_runtime::layout::{Layout, LayoutConfig};
+use cohesion_sim::timeline::{EscalationCause, LineEvent, Mark, Track};
+use cohesion_sim::Cycle;
 
-fn run(kernel: &str, timeline: bool, shards: u32) -> RunReport {
+/// One tiny run; `watch` watches the first line of the incoherent heap.
+fn run(kernel: &str, timeline: bool, shards: u32, watch: bool) -> RunReport {
     let mut cfg = MachineConfig::scaled(16, DesignPoint::cohesion(16 * 1024, 128));
     cfg.shards = shards;
     cfg.timeline = timeline;
+    cfg.watch = watch.then(|| Layout::new(&LayoutConfig::new(16)).incoherent_heap.start.line());
     let mut wl = kernel_by_name(kernel, Scale::Tiny);
     run_workload(&cfg, wl.as_mut())
-        .unwrap_or_else(|e| panic!("{kernel} timeline={timeline} shards={shards}: {e}"))
+        .unwrap_or_else(|e| panic!("{kernel} timeline={timeline} shards={shards} watch={watch}: {e}"))
 }
 
 fn assert_simulated_identical(ctx: &str, a: &RunReport, b: &RunReport) {
@@ -41,8 +45,8 @@ fn assert_simulated_identical(ctx: &str, a: &RunReport, b: &RunReport) {
 fn arming_the_timeline_never_perturbs_simulated_results() {
     for kernel in ["heat", "sobel", "cg"] {
         for shards in [1, 4] {
-            let off = run(kernel, false, shards);
-            let on = run(kernel, true, shards);
+            let off = run(kernel, false, shards, false);
+            let on = run(kernel, true, shards, false);
             assert!(
                 off.timeline.is_none(),
                 "{kernel}: disarmed run carries a timeline snapshot"
@@ -57,15 +61,49 @@ fn arming_the_timeline_never_perturbs_simulated_results() {
     }
 }
 
+/// Watching a line records its protocol events from both phases and
+/// moves nothing else: simulated results and the summary are those of
+/// the unwatched run, and the events, in record order, are the same at
+/// any shard count.
+#[test]
+fn watching_a_line_moves_nothing() {
+    for kernel in ["heat", "cg", "kmeans"] {
+        let mut recorded: Vec<Vec<(Track, Cycle, LineEvent)>> = Vec::new();
+        for shards in [1, 4] {
+            let plain = run(kernel, true, shards, false);
+            let watched = run(kernel, true, shards, true);
+            let ctx = format!("{kernel} shards={shards} watched vs unwatched");
+            assert_simulated_identical(&ctx, &plain, &watched);
+            let (plain, watched) = (plain.timeline.unwrap(), watched.timeline.unwrap());
+            assert_eq!(plain.summary_json(), watched.summary_json(), "{ctx}: summary moved");
+            let events: Vec<_> = watched
+                .spans
+                .iter()
+                .filter_map(|s| match s.mark {
+                    Mark::Line(_, event) => Some((s.track, s.cycle, event)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!events.is_empty(), "{ctx}: no line events");
+            assert!(
+                events.iter().any(|(track, ..)| matches!(track, Track::Lane(_))),
+                "{ctx}: no line event from phase A"
+            );
+            recorded.push(events);
+        }
+        assert_eq!(recorded[0], recorded[1], "{kernel}: line events differ at shards 1 and 4");
+    }
+}
+
 /// The summary JSON — dropped-span accounting included — is a function
 /// of the workload alone, never of the shard count the host used.
 #[test]
 fn timeline_summary_is_shard_invariant() {
     for kernel in ["heat", "kmeans", "mri"] {
-        let base = run(kernel, true, 1);
+        let base = run(kernel, true, 1, false);
         let base_json = base.timeline.as_ref().unwrap().summary_json();
         for shards in [2, 4] {
-            let sharded = run(kernel, true, shards);
+            let sharded = run(kernel, true, shards, false);
             let json = sharded.timeline.as_ref().unwrap().summary_json();
             assert_eq!(
                 base_json, json,
@@ -81,7 +119,7 @@ fn timeline_summary_is_shard_invariant() {
 #[test]
 fn escalation_causes_are_attributed_for_every_kernel() {
     for kernel in KERNEL_NAMES {
-        let report = run(kernel, true, 1);
+        let report = run(kernel, true, 1, false);
         let snap = report.timeline.as_ref().unwrap();
         assert_eq!(
             snap.slices(),
@@ -120,6 +158,13 @@ fn observability_doc_covers_the_span_and_cause_vocabulary() {
         "dram_service",
         "crew_run",
         "crew_park",
+        "load",
+        "store",
+        "fetch",
+        "probe",
+        "evict",
+        "transition",
+        "atomic",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(&format!("| `{span}`"))),
@@ -137,7 +182,7 @@ fn observability_doc_covers_the_span_and_cause_vocabulary() {
 /// overflow visible in `dropped` rather than silently truncated.
 #[test]
 fn dropped_spans_are_counted_not_silent() {
-    let report = run("heat", true, 1);
+    let report = run("heat", true, 1, false);
     let snap = report.timeline.as_ref().unwrap();
     // The summary's drop counter comes from the deterministic main ring
     // only; crew spans are accounted separately so host thread counts
@@ -168,7 +213,7 @@ const PHASE_SPLIT: [(&str, u64, u64, u64, u64, u64); 8] = [
 #[test]
 fn phase_split_is_pinned_for_every_kernel() {
     for (kernel, slices, fast, escalated, l3_fast, epochs) in PHASE_SPLIT {
-        let report = run(kernel, true, 1);
+        let report = run(kernel, true, 1, false);
         let snap = report.timeline.as_ref().unwrap();
         assert_eq!(
             (snap.slices(), snap.fast_slices, snap.escalated_total(), snap.l3_fast, snap.epochs),
