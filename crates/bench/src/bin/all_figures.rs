@@ -276,11 +276,10 @@ fn main() {
     writeln!(w, "```\n").unwrap();
     writeln!(
         w,
-        "Wall-clock benches (`cargo bench -p cohesion-bench`) additionally honor \
-         `COHESION_BENCH_OUT=<dir>`, writing machine-readable `BENCH_<harness>.json` \
-         files there so benchmark trajectories can be recorded across commits. See \
-         docs/walkthrough.md §5 for reference wall-clock numbers sequential vs \
-         parallel.\n"
+        "The wall-clock performance of the simulator and of `cohesiond` is measured \
+         by the separate `benchmark/` package, with every recorder off; see \
+         docs/performance.md. See docs/walkthrough.md §5 for reference wall-clock \
+         numbers sequential vs parallel.\n"
     )
     .unwrap();
 

@@ -276,8 +276,8 @@ pub struct MachineConfig {
     /// (the lane-owned-bank fast path). On by default. Turning it off
     /// makes the lane guard refuse every owned-bank line fetch (cause
     /// `l3-local`), so every L2 miss runs on the serial spine — the
-    /// escalate-everything engine `perfstat` uses as its
-    /// escalation-rate baseline and `prop_sim` as its reference. The BSP-level outcome is identical either way (phase
+    /// escalate-everything engine `prop_sim` uses as its reference.
+    /// The BSP-level outcome is identical either way (phase
     /// count, tasks executed, operation totals, and the golden-checked
     /// computed answer — pinned by the `prop_sim` lane-ownership
     /// property test); cycle-level arbitration order is not, because

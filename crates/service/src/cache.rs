@@ -11,9 +11,11 @@
 //!
 //! On disk (when a cache directory is configured) entries live under
 //! `<dir>/<first two hex digits>/<key>.json` — fanned out so a hot cache
-//! does not put tens of thousands of files in one directory. In memory
-//! the cache is an LRU bounded by an entry cap; evicting an entry also
-//! removes its file.
+//! does not put tens of thousands of files in one directory. A document
+//! is written to `<key>.json.<n>.tmp` beside its final name and renamed
+//! onto it, so a crash mid-write leaves at most a temporary file, which
+//! the next [`RunCache::at_dir`] deletes. In memory the cache is an LRU
+//! bounded by an entry cap; evicting an entry also removes its file.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -125,6 +127,9 @@ pub struct RunCache {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
+    /// Numbers each insert's temporary file, so two inserts of one key
+    /// never write the same file.
+    tmp_seq: AtomicU64,
 }
 
 impl RunCache {
@@ -141,12 +146,14 @@ impl RunCache {
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            tmp_seq: AtomicU64::new(0),
         }
     }
 
     /// A disk-backed cache rooted at `dir` (created if missing), holding
     /// at most `cap` entries. Existing `<xx>/<32 hex>.json` files are
-    /// loaded eagerly — a restarted daemon keeps its warm cache.
+    /// loaded eagerly — a restarted daemon keeps its warm cache — and
+    /// leftover `*.tmp` files of interrupted inserts are deleted.
     ///
     /// # Errors
     ///
@@ -170,6 +177,10 @@ impl RunCache {
                     .collect();
                 files.sort();
                 for path in files {
+                    if path.extension().is_some_and(|e| e == "tmp") {
+                        let _ = std::fs::remove_file(&path);
+                        continue;
+                    }
                     let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
                         continue;
                     };
@@ -177,7 +188,7 @@ impl RunCache {
                         continue;
                     };
                     if state.map.len() >= cache.cap {
-                        break;
+                        continue;
                     }
                     if let Ok(doc) = std::fs::read_to_string(&path) {
                         state.tick += 1;
@@ -228,14 +239,19 @@ impl RunCache {
         })
     }
 
-    /// Inserts `doc` under `key`, writing the disk file (best-effort) and
-    /// evicting the least-recently-used entry beyond the cap.
+    /// Inserts `doc` under `key`, writing the disk file (best-effort,
+    /// through a temporary file renamed into place) and evicting the
+    /// least-recently-used entry beyond the cap.
     pub fn insert(&self, key: CacheKey, doc: String) {
         if let Some(path) = self.path_of(key) {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            if let Err(e) = std::fs::write(&path, &doc) {
+            let n = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+            let tmp = path.with_extension(format!("json.{n}.tmp"));
+            let written = std::fs::write(&tmp, &doc).and_then(|()| std::fs::rename(&tmp, &path));
+            if let Err(e) = written {
+                let _ = std::fs::remove_file(&tmp);
                 crate::log::log(
                     "cache-write-error",
                     &[
@@ -349,12 +365,7 @@ mod tests {
 
     #[test]
     fn disk_cache_persists_across_reopen_and_evicts_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "cohesion-cache-test-{}-{}",
-            std::process::id(),
-            "persist"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("persist");
         let k1 = CacheKey::for_request(&req(1));
         let k2 = CacheKey::for_request(&req(2));
         {
@@ -376,6 +387,44 @@ mod tests {
             assert_eq!(c.stats().entries, 1);
             assert!(c.path_of(k3).unwrap().is_file());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn test_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cohesion-cache-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn insert_leaves_only_the_final_file() {
+        let dir = test_dir("rename");
+        let k = CacheKey::for_request(&req(1));
+        let c = RunCache::at_dir(dir.clone(), 8).unwrap();
+        c.insert(k, "{\"doc\":1}".into());
+        let path = c.path_of(k).unwrap();
+        let names: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from(format!("{k}.json"))]);
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"doc\":1}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_mid_insert_leaves_nothing_to_load() {
+        let dir = test_dir("crash");
+        let k = CacheKey::for_request(&req(1));
+        let shard = dir.join(&k.to_string()[..2]);
+        std::fs::create_dir_all(&shard).unwrap();
+        let tmp = shard.join(format!("{k}.json.0.tmp"));
+        std::fs::write(&tmp, "{\"doc\":").unwrap();
+        let c = RunCache::at_dir(dir.clone(), 8).unwrap();
+        assert_eq!(c.stats().entries, 0);
+        assert!(c.get(k).is_none());
+        assert!(!tmp.exists(), "the truncated temporary file stays on disk");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,8 @@
 //! fills in bursts. This module is the machine-wide substrate for seeing
 //! that — every layer records into one [`Registry`] owned by the machine,
 //! and a [`Snapshot`] of the registry rides home on the run report as
-//! deterministic, dependency-free JSON (the same hand-rolled emission
-//! style as `cohesion_testkit::bench`).
+//! deterministic, hand-rolled JSON (the workspace has no external
+//! dependencies).
 //!
 //! Telemetry is strictly opt-in: a [`Registry::disarmed`] registry turns
 //! every record call into a single branch on a `bool`, allocates nothing,
@@ -500,8 +500,7 @@ impl Snapshot {
 
     /// Serializes the snapshot as one deterministic JSON object with keys
     /// `counters`, `gauges`, `histograms`, `series` (`{window, data}`),
-    /// and `marks` — the same hand-rolled, dependency-free emission style
-    /// as `cohesion_testkit::bench`.
+    /// and `marks`, emitted by hand with no external dependency.
     pub fn to_json(&self) -> String {
         let counters: Vec<String> = self
             .counters

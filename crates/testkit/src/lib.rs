@@ -15,16 +15,12 @@
 //!   default; failing cases are greedily shrunk and every failure prints a
 //!   `COHESION_PROP_SEED=<n>` replay line (the env var is honored for
 //!   deterministic reruns).
-//! * [`bench`](mod@bench) — a `harness = false` wall-clock micro-benchmark runner
-//!   (warmup + timed iterations, median/p10/p90 per benchmark, and
-//!   machine-readable JSON so `BENCH_*.json` trajectories can be
-//!   recorded).
 //! * [`pool`] — a scoped worker pool (`run_jobs`) that executes
 //!   embarrassingly parallel job lists on `COHESION_JOBS` workers while
 //!   returning results in deterministic input order; the figure harness
-//!   runs every sweep through it.
+//!   runs every sweep through it. Its persistent counterpart,
+//!   `pool::WorkerPool`, runs `cohesiond`'s simulation jobs.
 
-pub mod bench;
 pub mod pool;
 pub mod prop;
 pub mod rng;

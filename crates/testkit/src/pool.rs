@@ -8,7 +8,7 @@
 //!
 //! * [`run_jobs`] executes a job list on a fixed number of workers and
 //!   returns the results **in input order**, so output built from them
-//!   (CSV files, tables, `BENCH_*.json`) is bit-identical whether the
+//!   (CSV files, tables) is bit-identical whether the
 //!   sweep ran on one worker or sixteen.
 //! * [`run_jobs_observed`] additionally reports each job's index, result,
 //!   and wall-clock duration as it completes — the hook the bench harness

@@ -120,6 +120,62 @@ fn docs_index_lists_every_guide() {
     }
 }
 
+/// The names that follow `--bin ` in `text`.
+fn bin_names(text: &str) -> Vec<&str> {
+    text.split("--bin ")
+        .skip(1)
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .collect()
+}
+
+/// Every `--bin NAME` in the docs names a binary that exists
+/// (`crates/*/src/bin/NAME.rs`), so a command for a deleted tool can't
+/// be left behind for readers to copy.
+#[test]
+fn docs_name_only_binaries_that_exist() {
+    assert_eq!(
+        bin_names("cargo run --bin fig2 -- --cores 16\n--bin cohesion_loadgen"),
+        vec!["fig2", "cohesion_loadgen"]
+    );
+    let exists = |name: &str| {
+        std::fs::read_dir(repo_root().join("crates"))
+            .expect("crates/ directory")
+            .any(|krate| {
+                let krate = krate.expect("read crates/ entry").path();
+                krate.join(format!("src/bin/{name}.rs")).is_file()
+            })
+    };
+    let mut checked = 0usize;
+    let mut unknown = Vec::new();
+    for file in doc_files() {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
+        for name in bin_names(&text) {
+            checked += 1;
+            if !exists(name) {
+                unknown.push(format!(
+                    "{}: --bin {name}",
+                    file.strip_prefix(repo_root()).unwrap_or(&file).display()
+                ));
+            }
+        }
+    }
+    assert!(
+        checked >= 10,
+        "found only {checked} `--bin` commands — scanner is likely broken"
+    );
+    assert!(
+        unknown.is_empty(),
+        "docs name binaries that do not exist:\n  {}",
+        unknown.join("\n  ")
+    );
+}
+
 #[test]
 fn top_level_readme_links_the_docs_index() {
     let text = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
