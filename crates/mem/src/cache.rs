@@ -190,11 +190,32 @@ impl CacheConfig {
     }
 }
 
+/// Where one set's lines live in [`Cache`]'s line arena: its block of
+/// `assoc` slots starts at `base`, and the first `len` of them are
+/// resident.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetSpan {
+    base: u32,
+    len: u32,
+}
+
 /// A set-associative, write-back cache with true-LRU replacement.
+///
+/// The lines of all sets share one arena whose capacity is reserved for
+/// sets × ways at construction; a set is given its block of `assoc` slots
+/// the first time it is filled. Building a cache therefore writes no
+/// line, and a set that is never filled costs nothing. Within a set the
+/// resident lines stay in insertion order: a removed line closes its gap
+/// and a new line is appended, so iteration and the LRU victim's
+/// first-minimum tie-break do not depend on the layout.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    sets: Vec<SetSpan>,
+    /// Whether each set has its block yet (only read when a set is empty,
+    /// so the per-set header stays eight bytes).
+    placed: Vec<bool>,
+    lines: Vec<Line>,
     /// Fold shift for the XOR-folded index, precomputed from the set count
     /// (`set_index` is on the path of every access).
     index_bits: u32,
@@ -222,9 +243,9 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             cfg,
-            sets: (0..sets)
-                .map(|_| Vec::with_capacity(cfg.assoc as usize))
-                .collect(),
+            sets: vec![SetSpan::default(); sets as usize],
+            placed: vec![false; sets as usize],
+            lines: Vec::with_capacity(cfg.lines() as usize),
             index_bits: sets.trailing_zeros().max(1),
             stamp: 0,
             hits: 0,
@@ -255,12 +276,26 @@ impl Cache {
         (folded as usize) & mask
     }
 
+    /// The resident lines of set `set`, in insertion order.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let span = self.sets[set];
+        &self.lines[span.base as usize..][..span.len as usize]
+    }
+
+    fn set_lines_mut(&mut self, set: usize) -> &mut [Line] {
+        let span = self.sets[set];
+        &mut self.lines[span.base as usize..][..span.len as usize]
+    }
+
     /// Looks up `line`, updating LRU and hit/miss counters.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut Line> {
         self.stamp += 1;
         let stamp = self.stamp;
         let set = self.set_index(line);
-        let found = self.sets[set].iter_mut().find(|l| l.addr == line);
+        let span = self.sets[set];
+        let found = self.lines[span.base as usize..][..span.len as usize]
+            .iter_mut()
+            .find(|l| l.addr == line);
         match found {
             Some(l) => {
                 self.hits += 1;
@@ -278,14 +313,15 @@ impl Cache {
     /// invariant checks, and SWcc instructions that must not perturb
     /// replacement).
     pub fn peek(&self, line: LineAddr) -> Option<&Line> {
-        let set = self.set_index(line);
-        self.sets[set].iter().find(|l| l.addr == line)
+        self.set_lines(self.set_index(line))
+            .iter()
+            .find(|l| l.addr == line)
     }
 
     /// Mutable variant of [`Cache::peek`].
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut Line> {
         let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|l| l.addr == line)
+        self.set_lines_mut(set).iter_mut().find(|l| l.addr == line)
     }
 
     /// Allocates a frame for `line`, evicting the LRU way if the set is
@@ -300,15 +336,24 @@ impl Cache {
         self.stamp += 1;
         let stamp = self.stamp;
         let assoc = self.cfg.assoc as usize;
-        let set_idx = self.set_index(line);
-        let set = &mut self.sets[set_idx];
+        let set = self.set_index(line);
+        if self.sets[set].len == 0 && !self.placed[set] {
+            // First fill: hand the set the next block of the arena. The
+            // arena's capacity covers every set, so this never reallocates.
+            self.placed[set] = true;
+            self.sets[set].base = self.lines.len() as u32;
+            self.lines.resize(self.lines.len() + assoc, Line::empty());
+        }
+        let span = self.sets[set];
+        let block = &mut self.lines[span.base as usize..][..assoc];
+        let mut len = span.len as usize;
         // One pass over the set finds both a duplicate (a caller bug,
         // debug-checked) and the LRU victim. `min` tracking keeps the
         // first-minimum tie-break of the `min_by_key` scan it replaces,
         // though stamps are unique in practice.
         let mut victim_pos = 0;
         let mut victim_stamp = u64::MAX;
-        for (i, l) in set.iter().enumerate() {
+        for (i, l) in block[..len].iter().enumerate() {
             debug_assert!(
                 l.addr != line,
                 "allocate called for a line already present: {line}"
@@ -318,18 +363,22 @@ impl Cache {
                 victim_pos = i;
             }
         }
-        let victim = if set.len() >= assoc {
+        let victim = if len >= assoc {
             self.evictions += 1;
-            Some(EvictedLine::from(&set.remove(victim_pos)))
+            let evicted = EvictedLine::from(&block[victim_pos]);
+            // Close the gap, keeping the survivors in insertion order.
+            block.copy_within(victim_pos + 1..len, victim_pos);
+            len -= 1;
+            Some(evicted)
         } else {
             None
         };
         let mut fresh = Line::empty();
         fresh.addr = line;
         fresh.lru_stamp = stamp;
-        set.push(fresh);
-        let l = set.last_mut().expect("just pushed");
-        (l, victim)
+        block[len] = fresh;
+        self.sets[set].len = len as u32 + 1;
+        (&mut block[len], victim)
     }
 
     /// The line that [`Cache::allocate`] *would* evict for `line` right
@@ -338,7 +387,7 @@ impl Cache {
     /// decide — before mutating anything — whether an allocation's
     /// victim would need protocol messages.
     pub fn victim_preview(&self, line: LineAddr) -> Option<&Line> {
-        let set = &self.sets[self.set_index(line)];
+        let set = self.set_lines(self.set_index(line));
         if set.len() < self.cfg.assoc as usize {
             return None;
         }
@@ -349,31 +398,52 @@ impl Cache {
     /// Removes `line` from the cache, returning its final contents.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|l| l.addr == line)?;
-        Some(EvictedLine::from(&self.sets[set].remove(pos)))
+        let lines = self.set_lines_mut(set);
+        let pos = lines.iter().position(|l| l.addr == line)?;
+        let evicted = EvictedLine::from(&lines[pos]);
+        lines.copy_within(pos + 1.., pos);
+        self.sets[set].len -= 1;
+        Some(evicted)
     }
 
-    /// Iterates all resident lines (for SWcc⇒HWcc broadcast-clean requests
-    /// and invariant checks).
+    /// Iterates all resident lines, set by set in set order (for SWcc⇒HWcc
+    /// broadcast-clean requests and invariant checks).
     pub fn iter_lines(&self) -> impl Iterator<Item = &Line> {
-        self.sets.iter().flatten()
+        self.sets
+            .iter()
+            .flat_map(move |span| &self.lines[span.base as usize..][..span.len as usize])
     }
 
-    /// Mutable iteration over all resident lines.
+    /// Mutable iteration over all resident lines, in [`Cache::iter_lines`]
+    /// order.
     pub fn iter_lines_mut(&mut self) -> impl Iterator<Item = &mut Line> {
-        self.sets.iter_mut().flatten()
+        let assoc = self.cfg.assoc as usize;
+        // The arena holds the blocks in fill order; hand each one out when
+        // its set's turn comes. An empty set may have no block (its `base`
+        // is then 0, another set's), so it is skipped.
+        let mut blocks: Vec<Option<&mut [Line]>> = self.lines.chunks_mut(assoc).map(Some).collect();
+        self.sets
+            .iter()
+            .filter(|span| span.len > 0)
+            .flat_map(move |span| {
+                let block = blocks[span.base as usize / assoc]
+                    .take()
+                    .expect("each block belongs to one set");
+                &mut block[..span.len as usize]
+            })
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.sets.iter().map(|span| span.len as usize).sum()
     }
 
-    /// Drops every resident line, returning them (bulk invalidation).
+    /// Drops every resident line, returning them in [`Cache::iter_lines`]
+    /// order (bulk invalidation).
     pub fn drain(&mut self) -> Vec<EvictedLine> {
-        let mut out = Vec::with_capacity(self.occupancy());
-        for set in &mut self.sets {
-            out.extend(set.drain(..).map(|l| EvictedLine::from(&l)));
+        let out = self.iter_lines().map(EvictedLine::from).collect();
+        for span in &mut self.sets {
+            span.len = 0;
         }
         out
     }

@@ -16,8 +16,10 @@
 //! onto it, so a crash mid-write leaves at most a temporary file, which
 //! the next [`RunCache::at_dir`] deletes. In memory the cache is an LRU
 //! bounded by an entry cap; evicting an entry also removes its file.
+//! The victim is popped from an index ordered by `(last use, key)`, and
+//! its file is removed after the lock that every lookup takes is released.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,9 +114,36 @@ struct Entry {
 
 struct CacheState {
     map: HashMap<CacheKey, Entry>,
+    /// Every entry's `(last_used, key)`; the first is the LRU victim.
+    order: BTreeSet<(u64, CacheKey)>,
     /// Monotonic logical clock driving LRU ordering (no wall time: the
     /// whole service stays deterministic apart from latency).
     tick: u64,
+}
+
+impl CacheState {
+    /// Marks `key` used now and returns its document, if held.
+    fn touch(&mut self, key: CacheKey) -> Option<std::sync::Arc<String>> {
+        self.tick += 1;
+        let entry = self.map.get_mut(&key)?;
+        self.order.remove(&(entry.last_used, key));
+        entry.last_used = self.tick;
+        self.order.insert((self.tick, key));
+        Some(std::sync::Arc::clone(&entry.doc))
+    }
+
+    /// Holds `doc` under `key` as its most recent use.
+    fn put(&mut self, key: CacheKey, doc: String) {
+        self.tick += 1;
+        let entry = Entry {
+            doc: std::sync::Arc::new(doc),
+            last_used: self.tick,
+        };
+        if let Some(old) = self.map.insert(key, entry) {
+            self.order.remove(&(old.last_used, key));
+        }
+        self.order.insert((self.tick, key));
+    }
 }
 
 /// A bounded, optionally disk-backed run cache. All methods are `&self`;
@@ -140,6 +169,7 @@ impl RunCache {
             cap: cap.max(1),
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
+                order: BTreeSet::new(),
                 tick: 0,
             }),
             hits: AtomicU64::new(0),
@@ -191,15 +221,7 @@ impl RunCache {
                         continue;
                     }
                     if let Ok(doc) = std::fs::read_to_string(&path) {
-                        state.tick += 1;
-                        let tick = state.tick;
-                        state.map.insert(
-                            key,
-                            Entry {
-                                doc: std::sync::Arc::new(doc),
-                                last_used: tick,
-                            },
-                        );
+                        state.put(key, doc);
                     }
                 }
             }
@@ -209,20 +231,13 @@ impl RunCache {
 
     /// Looks up `key`, bumping its LRU position. Counts a hit or miss.
     pub fn get(&self, key: CacheKey) -> Option<std::sync::Arc<String>> {
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        match st.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(std::sync::Arc::clone(&entry.doc))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let doc = self.state.lock().expect("cache poisoned").touch(key);
+        if doc.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        doc
     }
 
     /// Like [`RunCache::get`] but without touching the hit/miss counters —
@@ -230,18 +245,15 @@ impl RunCache {
     /// whether a concurrent connection already computed its key) that
     /// should not distort the observed hit rate.
     pub fn peek(&self, key: CacheKey) -> Option<std::sync::Arc<String>> {
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            std::sync::Arc::clone(&entry.doc)
-        })
+        self.state.lock().expect("cache poisoned").touch(key)
     }
 
     /// Inserts `doc` under `key`, writing the disk file (best-effort,
     /// through a temporary file renamed into place) and evicting the
-    /// least-recently-used entry beyond the cap.
+    /// least-recently-used entry beyond the cap. The victims' files are
+    /// removed after the lock is released: an insert of the same key that
+    /// races the removal can lose only its file, never serve a wrong
+    /// document.
     pub fn insert(&self, key: CacheKey, doc: String) {
         if let Some(path) = self.path_of(key) {
             if let Some(parent) = path.parent() {
@@ -261,26 +273,19 @@ impl RunCache {
                 );
             }
         }
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            Entry {
-                doc: std::sync::Arc::new(doc),
-                last_used: tick,
-            },
-        );
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        while st.map.len() > self.cap {
-            let victim = st
-                .map
-                .iter()
-                .min_by_key(|(k, e)| (e.last_used, **k))
-                .map(|(k, _)| *k)
-                .expect("nonempty over cap");
-            st.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut victims = Vec::new();
+        {
+            let mut st = self.state.lock().expect("cache poisoned");
+            st.put(key, doc);
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+            while st.map.len() > self.cap {
+                let (_, victim) = st.order.pop_first().expect("nonempty over cap");
+                st.map.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                victims.push(victim);
+            }
+        }
+        for victim in victims {
             if let Some(path) = self.path_of(victim) {
                 let _ = std::fs::remove_file(path);
             }
@@ -361,6 +366,130 @@ mod tests {
         assert_eq!(s.insertions, 3);
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 2);
+    }
+
+    /// Today's eviction, kept as the reference: a scan of the whole map
+    /// for the smallest `(last_used, key)`.
+    #[derive(Default)]
+    struct ScanLru {
+        map: HashMap<CacheKey, (String, u64)>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanLru {
+        fn touch(&mut self, key: CacheKey) -> Option<String> {
+            self.tick += 1;
+            let (doc, used) = self.map.get_mut(&key)?;
+            *used = self.tick;
+            Some(doc.clone())
+        }
+
+        fn get(&mut self, key: CacheKey) -> Option<String> {
+            let doc = self.touch(key);
+            if doc.is_some() {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            doc
+        }
+
+        fn insert(&mut self, key: CacheKey, doc: String, cap: usize) {
+            self.tick += 1;
+            self.map.insert(key, (doc, self.tick));
+            self.stats.insertions += 1;
+            while self.map.len() > cap {
+                let victim = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(k, (_, used))| (*used, **k))
+                    .expect("nonempty over cap")
+                    .0;
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+            }
+            self.stats.entries = self.map.len();
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum LruOp {
+        Get(u64),
+        Peek(u64),
+        Insert(u64, u32),
+    }
+
+    /// The ordered index evicts exactly the entries today's scan evicts,
+    /// and the counters agree, under any mix of lookups and inserts.
+    #[test]
+    fn ordered_eviction_matches_the_scan() {
+        use cohesion_testkit::prop::{one_of, range, vec_of, Runner, Strategy};
+        let op = one_of(vec![
+            range(0u64..12).map(LruOp::Get).boxed(),
+            range(0u64..12).map(LruOp::Peek).boxed(),
+            (range(0u64..12), range(0u32..4))
+                .map(|(seed, v)| LruOp::Insert(seed, v))
+                .boxed(),
+        ]);
+        Runner::new("ordered_eviction_matches_the_scan").run(
+            &(vec_of(op, 1..200), range(1usize..6)),
+            |(ops, cap)| {
+                let cache = RunCache::in_memory(cap);
+                let mut scan = ScanLru::default();
+                for (step, op) in ops.into_iter().enumerate() {
+                    let doc = |d: Option<std::sync::Arc<String>>| d.map(|d| d.to_string());
+                    match op {
+                        LruOp::Get(seed) => {
+                            let key = CacheKey::for_request(&req(seed));
+                            assert_eq!(doc(cache.get(key)), scan.get(key), "step {step}: {op:?}");
+                        }
+                        LruOp::Peek(seed) => {
+                            let key = CacheKey::for_request(&req(seed));
+                            assert_eq!(
+                                doc(cache.peek(key)),
+                                scan.touch(key),
+                                "step {step}: {op:?}"
+                            );
+                        }
+                        LruOp::Insert(seed, v) => {
+                            let key = CacheKey::for_request(&req(seed));
+                            cache.insert(key, format!("{seed}.{v}"));
+                            scan.insert(key, format!("{seed}.{v}"), cap);
+                        }
+                    }
+                    assert_eq!(cache.stats(), scan.stats, "step {step}: stats");
+                    let st = cache.state.lock().unwrap();
+                    let mut held: Vec<_> = st.map.iter().map(|(k, e)| (e.last_used, *k)).collect();
+                    held.sort_unstable();
+                    let mut want: Vec<_> =
+                        scan.map.iter().map(|(k, (_, used))| (*used, *k)).collect();
+                    want.sort_unstable();
+                    assert_eq!(held, want, "step {step}: resident entries");
+                    assert!(
+                        st.order.iter().eq(held.iter()),
+                        "step {step}: index out of step"
+                    );
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn evicted_files_leave_the_disk() {
+        let dir = test_dir("evict");
+        let c = RunCache::at_dir(dir.clone(), 2).unwrap();
+        let keys: Vec<_> = (1..=4).map(|s| CacheKey::for_request(&req(s))).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            c.insert(k, format!("doc-{i}"));
+        }
+        let on_disk: Vec<bool> = keys
+            .iter()
+            .map(|&k| c.path_of(k).unwrap().is_file())
+            .collect();
+        assert_eq!(on_disk, [false, false, true, true]);
+        assert_eq!(c.stats().evictions, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
