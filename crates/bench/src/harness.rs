@@ -381,6 +381,30 @@ pub fn design_label(dp: DesignPoint) -> String {
 /// `(label, snapshot-json)` pairs (pre-sorted by the caller). Pure, so
 /// tests can check determinism without touching the filesystem.
 pub fn metrics_document(binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
+    run_document("cohesion-metrics/v1", "metrics", binary, opts, runs)
+}
+
+/// The summary document path paired with a `--trace-out` trace path: the
+/// trailing `.json` (if any) is replaced by `-summary.json`.
+pub fn timeline_summary_path(trace_path: &str) -> String {
+    match trace_path.strip_suffix(".json") {
+        Some(stem) => format!("{stem}-summary.json"),
+        None => format!("{trace_path}-summary.json"),
+    }
+}
+
+/// Renders the full `--trace-out` summary document
+/// (`cohesion-timeline/v1`) from already-serialized
+/// `(label, summary-json)` pairs, pre-sorted by the caller. Pure, so
+/// tests can check determinism without touching the filesystem.
+pub fn timeline_document(binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
+    run_document("cohesion-timeline/v1", "timeline", binary, opts, runs)
+}
+
+/// The document both [`metrics_document`] and [`timeline_document`]
+/// render: `schema`, `binary`, `options`, and one `{"label", key}` object
+/// per run.
+fn run_document(schema: &str, key: &str, binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let scale = match opts.scale {
         Scale::Tiny => "tiny",
@@ -390,7 +414,7 @@ pub fn metrics_document(binary: &str, opts: &Options, runs: &[(String, String)])
     let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", esc(k))).collect();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"cohesion-metrics/v1\",\n");
+    out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
     out.push_str(&format!("  \"binary\": \"{}\",\n", esc(binary)));
     // `jobs` and `shards` are deliberately absent: the document must be
     // byte-identical at any worker or shard count.
@@ -410,57 +434,7 @@ pub fn metrics_document(binary: &str, opts: &Options, runs: &[(String, String)])
     for (i, (label, json)) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"metrics\": {json}}}{comma}\n",
-            esc(label)
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The summary document path paired with a `--trace-out` trace path: the
-/// trailing `.json` (if any) is replaced by `-summary.json`.
-pub fn timeline_summary_path(trace_path: &str) -> String {
-    match trace_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}-summary.json"),
-        None => format!("{trace_path}-summary.json"),
-    }
-}
-
-/// Renders the full `--trace-out` summary document
-/// (`cohesion-timeline/v1`) from already-serialized
-/// `(label, summary-json)` pairs, pre-sorted by the caller. Pure, so
-/// tests can check determinism without touching the filesystem. Mirrors
-/// [`metrics_document`]: `jobs` and `shards` are deliberately absent and
-/// a zero seed is elided, because the summary must be byte-identical at
-/// any worker or shard count.
-pub fn timeline_document(binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let scale = match opts.scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-    };
-    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", esc(k))).collect();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"cohesion-timeline/v1\",\n");
-    out.push_str(&format!("  \"binary\": \"{}\",\n", esc(binary)));
-    let seed = if opts.seed != 0 {
-        format!(", \"seed\": {}", opts.seed)
-    } else {
-        String::new()
-    };
-    out.push_str(&format!(
-        "  \"options\": {{\"cores\": {}, \"scale\": \"{scale}\", \"kernels\": [{}]{seed}}},\n",
-        opts.cores,
-        kernels.join(", ")
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, (label, json)) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"timeline\": {json}}}{comma}\n",
+            "    {{\"label\": \"{}\", \"{key}\": {json}}}{comma}\n",
             esc(label)
         ));
     }

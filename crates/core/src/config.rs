@@ -247,9 +247,6 @@ pub struct MachineConfig {
     /// run's observable outputs are byte-identical to a build without
     /// the registry.
     pub metrics: bool,
-    /// Cycle-window width for the telemetry time-series sampler (only
-    /// meaningful when [`MachineConfig::metrics`] is set).
-    pub metrics_window: Cycle,
     /// Arm the shard-epoch timeline flight recorder
     /// ([`cohesion_sim::timeline`]). Off by default: disarmed, every
     /// span-recording call is an inlined early-return and observable
@@ -304,7 +301,8 @@ pub enum TaskQueueModel {
     /// stealing from other clusters once the local queue drains — the
     /// "children tasks scheduled on their parent, or stolen by another
     /// core" model §2.3 describes, where HWcc lets stolen tasks pull their
-    /// data on demand.
+    /// data on demand. In a multiprogrammed run a cluster steals only
+    /// from its own program's clusters.
     PerClusterStealing,
 }
 
@@ -340,7 +338,6 @@ impl MachineConfig {
             word_granular_swcc: true,
             task_queue: TaskQueueModel::Global,
             metrics: false,
-            metrics_window: 10_000,
             timeline: false,
             watch: None,
             shards: 1,

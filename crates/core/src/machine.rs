@@ -45,6 +45,9 @@ use crate::config::MachineConfig;
 use crate::noc::{LaneNoc, Noc};
 use crate::profile::RegionProfiler;
 
+/// Cycle-window width of the telemetry time-series sampler.
+const METRICS_WINDOW: Cycle = 10_000;
+
 /// A coherence error surfaced by the machine (these are *simulated-program*
 /// failures the harness turns into test failures, not simulator bugs).
 #[derive(Debug, Clone, PartialEq)]
@@ -219,7 +222,7 @@ impl Machine {
             transitions_to_hw: 0,
             profiler: RegionProfiler::default(),
             metrics: if cfg.metrics {
-                Registry::armed(cfg.metrics_window)
+                Registry::armed(METRICS_WINDOW)
             } else {
                 Registry::disarmed()
             },
@@ -324,11 +327,6 @@ impl Machine {
     /// Panics for an unknown process id.
     pub fn fine_table_of(&self, pid: usize) -> &FineTable {
         &self.processes[pid].fine
-    }
-
-    /// The fine-grain table of whichever process owns `addr`, if any.
-    pub fn fine_table_for(&self, addr: Addr) -> Option<&FineTable> {
-        process_of(&self.processes, addr).map(|p| &p.fine)
     }
 
     /// Current coherence domain of a line, as the hardware would resolve it
@@ -933,8 +931,8 @@ impl Machine {
         use std::hash::Hasher as _;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.hash_line_into(line, &mut h);
-        if let Some(table) = self.fine_table_for(line.base()) {
-            self.hash_line_into(table.slot_of(line).word.line(), &mut h);
+        if let Some(p) = process_of(&self.processes, line.base()) {
+            self.hash_line_into(p.fine.slot_of(line).word.line(), &mut h);
         }
         h.finish()
     }
@@ -1566,7 +1564,7 @@ impl Machine {
         (0..self.cfg.clusters())
             .map(|_| LaneScratch {
                 metrics: if self.metrics.is_armed() {
-                    Registry::armed(self.cfg.metrics_window)
+                    Registry::armed(METRICS_WINDOW)
                 } else {
                     Registry::disarmed()
                 },

@@ -1,10 +1,14 @@
 //! Workload execution: the barrier-synchronized task-queue model of §4.1
-//! driven over the machine, phase by phase.
+//! driven over the machine, phase by phase, by one sharded engine. It runs
+//! one program ([`run_workload`]) or several sharing the machine
+//! ([`crate::multi::run_workloads`]): program `p` of `N` runs on the
+//! clusters `c ≡ p (mod N)` in address-space slice `p`, with its own task
+//! queue, barrier, and phase stream.
 
 use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
 use cohesion_runtime::api::{CohesionApi, RuntimeError};
-use cohesion_runtime::layout::Layout;
+use cohesion_runtime::layout::{Layout, LayoutConfig};
 use cohesion_runtime::task::{AtomicKind, Op, Phase, RegionOp, Task};
 use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
@@ -204,28 +208,28 @@ impl std::fmt::Display for OpSite {
 /// slice lands at least `QUANTUM` cycles after the slice began, so a
 /// window of this width can be drained completely before any of the
 /// work it spawns becomes runnable — the conservative-PDES lookahead.
-pub(crate) const QUANTUM: Cycle = 64;
+const QUANTUM: Cycle = 64;
 
 /// Ops per instruction-fetch line: 32-byte lines hold 8 RISC instructions.
 const OPS_PER_FETCH: u32 = 8;
 
 /// One core's execution cursor.
-pub(crate) struct CoreState {
-    pub(crate) cluster: ClusterId,
+struct CoreState {
+    cluster: ClusterId,
     stack_base: Addr,
     code_base: Addr,
     /// Index into the phase's task vector + op cursor.
-    pub(crate) task: Option<(usize, usize)>,
+    task: Option<(usize, usize)>,
     /// Ops remaining before the next instruction fetch; `0` = fetch now.
     /// A countdown (rather than a wrap-around counter) so a slice that
     /// escalates mid-quantum resumes with the fetch stream intact.
-    pub(crate) fetch_counter: u32,
-    pub(crate) pc_line: u32,
+    fetch_counter: u32,
+    pc_line: u32,
 }
 
 impl CoreState {
     /// An idle core `i` running code and stacks laid out by `layout`.
-    pub(crate) fn new(i: u32, cores_per_cluster: u32, layout: &Layout) -> Self {
+    fn new(i: u32, cores_per_cluster: u32, layout: &Layout) -> Self {
         CoreState {
             cluster: CoreId(i).cluster(cores_per_cluster),
             stack_base: layout.stack_base(i),
@@ -238,7 +242,7 @@ impl CoreState {
 
     /// The run error for `error`, raised at `cycle` by this core's
     /// current operation (its dequeue, when it has no task).
-    pub(crate) fn failed(&self, core: CoreId, cycle: Cycle, error: MachineError) -> RunError {
+    fn failed(&self, core: CoreId, cycle: Cycle, error: MachineError) -> RunError {
         let site = OpSite { core, op: self.task, cycle };
         RunError::Machine { error, site: Some(site) }
     }
@@ -251,77 +255,180 @@ impl CoreState {
 /// Returns [`RunError`] on allocation failure, detected coherence failure
 /// (stale verified load, fatal race), or final verification mismatch.
 pub fn run_workload(cfg: &MachineConfig, workload: &mut dyn Workload) -> Result<RunReport, RunError> {
-    let mut api = CohesionApi::new(cfg.cores, cfg.design.mode);
-    let mut golden = MainMemory::new();
-    workload.setup(&mut api, &mut golden)?;
+    let (machine, programs) = run_programs(cfg, vec![workload])?;
+    let p = &programs[0];
+    Ok(RunReport::collect(
+        p.workload.name(),
+        cfg,
+        &machine,
+        p.now,
+        p.phases,
+        p.tasks_total,
+        p.ops_total,
+    ))
+}
 
-    let mut machine = Machine::new(*cfg, *api.layout());
-    machine.mem = golden.clone();
-    machine.boot();
-    let profile_regions = workload.profile_regions();
-    let profiling = !profile_regions.is_empty();
-    if profiling {
-        machine.enable_profiling(profile_regions);
-    }
-    let mut last_profile: Vec<crate::profile::RegionFeedback> = machine.profile_snapshot();
+/// One program on the machine: its workload, runtime, golden memory, and
+/// run totals. Its task queue and barrier live in the engine
+/// ([`TaskQueue`]).
+pub(crate) struct Program<'w> {
+    pub(crate) workload: &'w mut dyn Workload,
+    api: CohesionApi,
+    golden: MainMemory,
+    /// The last barrier release: where the next phase starts, and the
+    /// program's run time once it is done.
+    pub(crate) now: Cycle,
+    pub(crate) phases: u32,
+    pub(crate) tasks_total: u64,
+    ops_total: u64,
+    done: bool,
+    /// Where the program's regions start in the machine profiler's list.
+    profile_start: usize,
+    /// Its regions' profile totals at the last barrier.
+    last_profile: Vec<crate::profile::RegionFeedback>,
+}
 
-    // Runtime control words live on the coherent heap (one line per
-    // cluster queue, so per-cluster dequeues never false-share).
-    let queue_addr = api.malloc(64 * cfg.clusters().max(1))?;
-    let barrier_addr = api.malloc(64)?;
-
-    let mut exec = Exec::new(cfg, &machine, queue_addr);
-    let mut phases = 0u32;
-    let mut tasks_total = 0u64;
-    let mut ops_total = 0u64;
-
-    while let Some(phase) = workload.next_phase(&mut api, &mut golden) {
-        let mut region_ops = api.take_region_ops();
+impl Program<'_> {
+    /// Starts the program's next phase at its last barrier release, or
+    /// marks it done.
+    fn next_phase(
+        &mut self,
+        exec: &mut Exec,
+        machine: &mut Machine,
+        pid: usize,
+    ) -> Result<(), RunError> {
+        let Some(phase) = self.workload.next_phase(&mut self.api, &mut self.golden) else {
+            self.done = true;
+            return Ok(());
+        };
+        let mut region_ops = self.api.take_region_ops();
         region_ops.extend(phase.region_ops.iter().copied());
-        tasks_total += phase.tasks.len() as u64;
-        ops_total += phase.total_ops() as u64;
-        exec.run_phase(&mut machine, &region_ops, &phase.tasks, barrier_addr)?;
-        machine.note_barrier(exec.now());
-        if cfg.check_invariants {
-            machine.check_invariants();
+        self.tasks_total += phase.tasks.len() as u64;
+        self.ops_total += phase.total_ops() as u64;
+        exec.start_phase(machine, pid, &region_ops, phase.tasks, self.now)
+    }
+
+    /// Hands the workload its regions' profile deltas since the last
+    /// barrier (§4.2's remapping feedback).
+    fn observe(&mut self, machine: &Machine) {
+        if self.last_profile.is_empty() {
+            return;
         }
-        if profiling {
-            let now = machine.profile_snapshot();
-            let deltas: Vec<crate::profile::RegionFeedback> = now
-                .iter()
-                .zip(&last_profile)
-                .map(|(n, o)| crate::profile::RegionFeedback {
-                    start: n.start,
-                    bytes: n.bytes,
-                    counters: n.counters.delta_from(&o.counters),
-                })
-                .collect();
-            workload.observe(&deltas);
-            last_profile = now;
+        let own = self.profile_start..self.profile_start + self.last_profile.len();
+        let now: Vec<crate::profile::RegionFeedback> =
+            machine.profile_snapshot().drain(own).collect();
+        let deltas: Vec<crate::profile::RegionFeedback> = now
+            .iter()
+            .zip(&self.last_profile)
+            .map(|(n, o)| crate::profile::RegionFeedback {
+                start: n.start,
+                bytes: n.bytes,
+                counters: n.counters.delta_from(&o.counters),
+            })
+            .collect();
+        self.workload.observe(&deltas);
+        self.last_profile = now;
+    }
+}
+
+/// Runs `workloads` as programs sharing one machine, built from `cfg`,
+/// and verifies each; returns the drained machine and the programs.
+/// Program `p` of `N` runs in address-space slice `p` (§3.5's
+/// per-process region tables) on the clusters `c ≡ p (mod N)`. After
+/// every window, each program whose cores have all arrived at its
+/// barrier is released into its next phase, in program order.
+///
+/// # Panics
+///
+/// Panics if `workloads` is empty or there are fewer clusters than
+/// programs.
+pub(crate) fn run_programs<'w>(
+    cfg: &MachineConfig,
+    workloads: Vec<&'w mut dyn Workload>,
+) -> Result<(Machine, Vec<Program<'w>>), RunError> {
+    let n = workloads.len();
+    assert!(n > 0, "need at least one workload");
+    let clusters = cfg.clusters().max(1);
+    assert!(clusters as usize >= n, "need at least one cluster per job");
+    let mut programs = Vec::with_capacity(n);
+    let mut queues = Vec::with_capacity(n);
+    for (pid, workload) in workloads.into_iter().enumerate() {
+        let layout = LayoutConfig::for_process(pid as u32, cfg.cores);
+        let mut api = CohesionApi::with_layout(&layout, cfg.design.mode);
+        let mut golden = MainMemory::new();
+        workload.setup(&mut api, &mut golden)?;
+        // Runtime control words live on the coherent heap (one line per
+        // cluster queue, so per-cluster dequeues never false-share).
+        let own_clusters = (clusters - pid as u32).div_ceil(n as u32);
+        let queue_addr = api.malloc(64 * own_clusters)?;
+        let barrier_addr = api.malloc(64)?;
+        let cluster_queues = vec![(0, 0); own_clusters as usize];
+        queues.push(TaskQueue {
+            queue_addr,
+            barrier_addr,
+            cluster_queues,
+            ..TaskQueue::default()
+        });
+        programs.push(Program {
+            workload,
+            api,
+            golden,
+            now: 0,
+            phases: 0,
+            tasks_total: 0,
+            ops_total: 0,
+            done: false,
+            profile_start: 0,
+            last_profile: Vec::new(),
+        });
+    }
+
+    let mut machine = Machine::new_multi(*cfg, programs.iter().map(|p| *p.api.layout()).collect());
+    // Slices are disjoint, so the programs' pages never collide.
+    machine.mem = programs[0].golden.clone();
+    for p in &programs[1..] {
+        machine.mem.merge_from(&p.golden);
+    }
+    machine.boot();
+    let mut regions = Vec::new();
+    for p in &mut programs {
+        p.profile_start = regions.len();
+        regions.extend(p.workload.profile_regions());
+    }
+    machine.enable_profiling(regions);
+    let mut snapshot = machine.profile_snapshot();
+    for p in programs.iter_mut().rev() {
+        p.last_profile = snapshot.split_off(p.profile_start);
+    }
+
+    let mut exec = Exec::new(cfg, &machine, queues);
+    for (pid, p) in programs.iter_mut().enumerate() {
+        p.next_phase(&mut exec, &mut machine, pid)?;
+    }
+    while programs.iter().any(|p| !p.done) {
+        exec.run_window(&mut machine)?;
+        for (pid, p) in programs.iter_mut().enumerate().filter(|(_, p)| !p.done) {
+            let Some(end) = exec.finished_phase(pid) else {
+                continue;
+            };
+            // Barrier release broadcast.
+            p.now = end + cfg.barrier_release_latency;
+            machine.note_barrier(p.now);
+            if cfg.check_invariants {
+                machine.check_invariants();
+            }
+            p.observe(&machine);
+            p.phases += 1;
+            p.next_phase(&mut exec, &mut machine, pid)?;
         }
-        phases += 1;
     }
 
     exec.finish(&mut machine);
-    let cycles = exec.now();
-    machine
-        .metrics_mut()
-        .add("events/scheduled", exec.lanes.scheduled());
-    machine
-        .metrics_mut()
-        .add("events/max_pending", exec.lanes.max_pending() as u64);
     machine.drain_for_verification();
-    workload.verify(&machine.mem).map_err(RunError::Verify)?;
-
-    Ok(RunReport::collect(
-        workload.name(),
-        cfg,
-        &machine,
-        cycles,
-        phases,
-        tasks_total,
-        ops_total,
-    ))
+    for p in &programs {
+        p.workload.verify(&machine.mem).map_err(RunError::Verify)?;
+    }
+    Ok((machine, programs))
 }
 
 /// One lane's bundle of work for a window: its slice of the machine, its
@@ -352,15 +459,16 @@ struct Halted {
     stop: Stop,
 }
 
-/// Runs one lane's events for the window. Stops at the lane's first
-/// failure: a serial engine would never have executed this lane's later
-/// slices past an aborting error, and phase B surfaces the
-/// canonically-first error of the whole window.
-fn process_lane(w: &mut LaneWork<'_>, tasks: &[Task]) {
+/// Runs one lane's events for the window, on the tasks of the lane's
+/// program. Stops at the lane's first failure: a serial engine would
+/// never have executed this lane's later slices past an aborting error,
+/// and phase B surfaces the canonically-first error of the whole window.
+fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue]) {
     let Some(&(window_cycle, _)) = w.events.first() else {
         return;
     };
     let lane = w.ctx.cluster().0;
+    let tasks = &queues[lane as usize % queues.len()].tasks;
     let span_start = w.ctx.timeline().start();
     for (seq, &(t0, core)) in w.events.iter().enumerate() {
         let budget = t0 + QUANTUM;
@@ -427,7 +535,7 @@ fn lane_slice(
 /// task ends (`task` is left empty: the caller dequeues the next one),
 /// and the [`Stop`] of an operation that escalated or failed, with the
 /// cursor still on that operation and `*t` at its issue cycle.
-pub(crate) fn run_ops<S: Access>(
+fn run_ops<S: Access>(
     s: &mut S,
     cs: &mut CoreState,
     core: CoreId,
@@ -480,7 +588,26 @@ pub(crate) fn run_ops<S: Access>(
     Ok(())
 }
 
-/// The per-run execution engine (cores + queue + barrier), sharded.
+/// One program's task queue and barrier: its control words and the
+/// running phase's tasks, dequeue cursors, and arrivals.
+#[derive(Default)]
+struct TaskQueue {
+    queue_addr: Addr,
+    barrier_addr: Addr,
+    tasks: Vec<Task>,
+    /// The global queue's cursor (TaskQueueModel::Global).
+    next_task: usize,
+    /// Per own cluster, `[lo, hi)` cursors over a static block partition
+    /// (PerClusterStealing only).
+    cluster_queues: Vec<(usize, usize)>,
+    cores: u32,
+    arrived: u32,
+    /// The phase's latest slice end.
+    end: Cycle,
+}
+
+/// The per-run execution engine (cores + each program's queue and
+/// barrier), sharded.
 ///
 /// Simulated time advances in windows of [`QUANTUM`] cycles. Each window
 /// is drained in two phases:
@@ -494,12 +621,15 @@ pub(crate) fn run_ops<S: Access>(
 ///   in the window's canonical `(cycle, lane, seq)` order ([`run_ops`]
 ///   over the [`Machine`]).
 ///
+/// Lane `c` belongs to program `c mod N`, so programs never share a lane.
 /// The window composition, the A/B split, and both processing orders are
 /// functions of simulated state alone — never of the host thread count —
 /// so simulated results are byte-identical at any [`MachineConfig::shards`]
 /// value. `shards` only chooses how many host threads run phase A.
 struct Exec {
     cores: Vec<CoreState>,
+    /// Indexed by program.
+    queues: Vec<TaskQueue>,
     lanes: LaneQueues<u32>,
     /// Per-lane metrics scratches, absorbed into the machine by `finish`.
     scratches: Vec<LaneScratch>,
@@ -518,25 +648,18 @@ struct Exec {
     serial: Vec<Halted>,
     /// Phase A's jobs, one per lane in lane order (empty between windows).
     jobs: Vec<LaneWork<'static>>,
-    queue_addr: Addr,
-    now: Cycle,
-    // Per-phase state.
-    next_task: usize,
-    task_count: usize,
-    /// Per-cluster `[lo, hi)` cursors over a static block partition
-    /// (PerClusterStealing only).
-    cluster_queues: Vec<(usize, usize)>,
-    queue_model: crate::config::TaskQueueModel,
-    arrived: u32,
-    dequeue_overhead: Cycle,
-    barrier_release: Cycle,
 }
 
 impl Exec {
-    fn new(cfg: &MachineConfig, machine: &Machine, queue_addr: Addr) -> Self {
-        let layout = machine.layout();
-        let cores = (0..cfg.cores)
-            .map(|i| CoreState::new(i, cfg.cores_per_cluster, layout))
+    /// The engine for one program per queue.
+    fn new(cfg: &MachineConfig, machine: &Machine, mut queues: Vec<TaskQueue>) -> Self {
+        let n = queues.len();
+        let cores: Vec<CoreState> = (0..cfg.cores)
+            .map(|i| {
+                let pid = CoreId(i).cluster(cfg.cores_per_cluster).0 as usize % n;
+                queues[pid].cores += 1;
+                CoreState::new(i, cfg.cores_per_cluster, machine.layout_of(pid))
+            })
             .collect();
         let n_lanes = cfg.clusters().max(1) as usize;
         // `shards = 0` means auto: size the crew from the host's available
@@ -556,6 +679,7 @@ impl Exec {
         });
         Exec {
             cores,
+            queues,
             lanes: LaneQueues::new(n_lanes),
             scratches: machine.new_lane_scratches(),
             crew: (threads > 1).then(|| match &crew_trace {
@@ -568,200 +692,207 @@ impl Exec {
             halted: std::iter::repeat_with(Vec::new).take(n_lanes).collect(),
             serial: Vec::new(),
             jobs: Vec::new(),
-            queue_addr,
-            now: 0,
-            next_task: 0,
-            task_count: 0,
-            cluster_queues: vec![(0, 0); (cfg.cores / cfg.cores_per_cluster) as usize],
-            queue_model: cfg.task_queue,
-            arrived: 0,
-            dequeue_overhead: cfg.dequeue_overhead,
-            barrier_release: cfg.barrier_release_latency,
         }
     }
 
-    fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Folds per-lane accounting back into the machine (metrics
-    /// scratches in fixed lane order, crew spans).
+    /// scratches in fixed lane order, crew spans, event-wheel totals).
     fn finish(&mut self, machine: &mut Machine) {
         machine.absorb_lane_scratches(&self.scratches);
         if let Some(trace) = &self.crew_trace {
             machine.timeline_mut().absorb_crew(trace);
         }
+        let metrics = machine.metrics_mut();
+        metrics.add("events/scheduled", self.lanes.scheduled());
+        metrics.add("events/max_pending", self.lanes.max_pending() as u64);
     }
 
-    fn run_phase(
+    /// Starts a phase of program `pid` at cycle `t`.
+    fn start_phase(
         &mut self,
         machine: &mut Machine,
+        pid: usize,
         region_ops: &[RegionOp],
-        tasks: &[Task],
-        barrier_addr: Addr,
+        tasks: Vec<Task>,
+        mut t: Cycle,
     ) -> Result<(), RunError> {
-        // 1. Core 0 (the runtime) applies the domain transitions: pipelined
-        //    atomics to the fine-grain table, blocking only when the
-        //    directory had real work (§3.6).
-        let mut t = self.now;
+        // 1. The program's runtime applies the domain transitions:
+        //    pipelined atomics to the fine-grain table, blocking only when
+        //    the directory had real work (§3.6).
         for op in region_ops {
-            t = apply_region_op(machine, op, t)?;
+            t = apply_region_op(machine, pid, op, t)?;
         }
 
-        // 2. Release all cores into the dequeue loop.
-        self.next_task = 0;
-        self.task_count = tasks.len();
-        // Static block partition for the per-cluster model: cluster c owns
-        // tasks [c*chunk, (c+1)*chunk) (the tail cluster takes the slack).
-        let n_clusters = self.cluster_queues.len();
-        let chunk = tasks.len().div_ceil(n_clusters.max(1));
-        for (c, q) in self.cluster_queues.iter_mut().enumerate() {
-            *q = ((c * chunk).min(tasks.len()), ((c + 1) * chunk).min(tasks.len()));
+        // 2. Release the program's cores into the dequeue loop.
+        let q = &mut self.queues[pid];
+        q.tasks = tasks;
+        q.next_task = 0;
+        // Static block partition for the per-cluster model: the program's
+        // i-th cluster owns tasks [i*chunk, (i+1)*chunk) (the tail cluster
+        // takes the slack).
+        let len = q.tasks.len();
+        let chunk = len.div_ceil(q.cluster_queues.len());
+        for (i, cq) in q.cluster_queues.iter_mut().enumerate() {
+            *cq = ((i * chunk).min(len), ((i + 1) * chunk).min(len));
         }
-        self.arrived = 0;
-        for c in self.cores.iter_mut() {
-            c.task = None;
-            c.fetch_counter = 0;
-        }
-        for i in 0..self.cores.len() as u32 {
-            let lane = self.cores[i as usize].cluster.0 as usize;
-            self.lanes.schedule(lane, t, i);
-        }
-
-        // 3. Pump windows until every core reaches the barrier.
-        let mut phase_end = t;
-        while self.arrived < self.cores.len() as u32 {
-            self.lanes
-                .pop_window(QUANTUM, &mut self.window)
-                .expect("cores pending but no events scheduled");
-            machine.timeline_mut().note_window();
-
-            // Phase A: lanes step their cores on lane-local state.
-            let mut jobs = relend(std::mem::take(&mut self.jobs));
-            jobs.extend(
-                machine
-                    .lanes(&mut self.scratches)
-                    .into_iter()
-                    .zip(self.lanes.as_mut_slice())
-                    .zip(self.cores.chunks_mut(self.cores_per_cluster))
-                    .zip(&self.window)
-                    .zip(&mut self.halted)
-                    .enumerate()
-                    .map(|(c, ((((ctx, queue), cores), events), out))| LaneWork {
-                        ctx,
-                        queue,
-                        cores,
-                        core_base: (c * self.cores_per_cluster) as u32,
-                        events,
-                        out,
-                        max_end: 0,
-                    }),
-            );
-            match &mut self.crew {
-                Some(crew) => crew.run(&mut jobs, |w| process_lane(w, tasks)),
-                None => jobs.iter_mut().for_each(|w| process_lane(w, tasks)),
+        q.arrived = 0;
+        q.end = t;
+        let n = self.queues.len();
+        for (i, cs) in self.cores.iter_mut().enumerate() {
+            let lane = cs.cluster.0 as usize;
+            if lane % n == pid {
+                cs.task = None;
+                cs.fetch_counter = 0;
+                self.lanes.schedule(lane, t, i as u32);
             }
-            phase_end = jobs.iter().fold(phase_end, |end, w| end.max(w.max_end));
-            self.jobs = relend(jobs);
-            // Lane timeline buffers fold in fixed lane order, so the main
-            // ring's drop sequence never depends on host threads.
-            if machine.timeline().is_armed() {
-                for s in self.scratches.iter_mut() {
-                    machine.timeline_mut().absorb_lane(&mut s.timeline);
+        }
+        Ok(())
+    }
+
+    /// When every core of program `pid` has arrived at its barrier: drops
+    /// the phase's tasks and returns the phase's end.
+    fn finished_phase(&mut self, pid: usize) -> Option<Cycle> {
+        let q = &mut self.queues[pid];
+        (q.arrived == q.cores).then(|| {
+            q.tasks = Vec::new();
+            q.end
+        })
+    }
+
+    /// Drains one window: phase A on the lanes, then phase B.
+    fn run_window(&mut self, machine: &mut Machine) -> Result<(), RunError> {
+        self.lanes
+            .pop_window(QUANTUM, &mut self.window)
+            .expect("cores pending but no events scheduled");
+        machine.timeline_mut().note_window();
+
+        // Phase A: lanes step their cores on lane-local state.
+        let n = self.queues.len();
+        let mut jobs = relend(std::mem::take(&mut self.jobs));
+        jobs.extend(
+            machine
+                .lanes(&mut self.scratches)
+                .into_iter()
+                .zip(self.lanes.as_mut_slice())
+                .zip(self.cores.chunks_mut(self.cores_per_cluster))
+                .zip(&self.window)
+                .zip(&mut self.halted)
+                .enumerate()
+                .map(|(c, ((((ctx, queue), cores), events), out))| LaneWork {
+                    ctx,
+                    queue,
+                    cores,
+                    core_base: (c * self.cores_per_cluster) as u32,
+                    events,
+                    out,
+                    max_end: 0,
+                }),
+        );
+        let queues = &self.queues;
+        match &mut self.crew {
+            Some(crew) => crew.run(&mut jobs, |w| process_lane(w, queues)),
+            None => jobs.iter_mut().for_each(|w| process_lane(w, queues)),
+        }
+        for (c, w) in jobs.iter().enumerate() {
+            let q = &mut self.queues[c % n];
+            q.end = q.end.max(w.max_end);
+        }
+        self.jobs = relend(jobs);
+        // Lane timeline buffers fold in fixed lane order, so the main
+        // ring's drop sequence never depends on host threads.
+        if machine.timeline().is_armed() {
+            for s in self.scratches.iter_mut() {
+                machine.timeline_mut().absorb_lane(&mut s.timeline);
+            }
+        }
+
+        // Phase B: escalated slices resume serially, in the window's
+        // canonical order; the canonically-first failure aborts the run.
+        let mut serial = std::mem::take(&mut self.serial);
+        for out in &mut self.halted {
+            serial.append(out);
+        }
+        serial.sort_unstable_by_key(|h| h.key);
+        let span_b = (!serial.is_empty())
+            .then(|| machine.timeline().start())
+            .flatten();
+        let window_cycle = serial.first().map_or(0, |h| h.t);
+        for Halted { core, mut t, budget, stop, .. } in serial.drain(..) {
+            let resumed = match stop {
+                Stop::Escalate { .. } => self.step_core(machine, core, &mut t, budget),
+                failed => Err(failed),
+            };
+            match resumed {
+                Ok(()) => {
+                    let q = &mut self.queues[self.cores[core as usize].cluster.0 as usize % n];
+                    q.end = q.end.max(t);
                 }
+                Err(Stop::Fail(e)) => return Err(self.cores[core as usize].failed(CoreId(core), t, e)),
+                Err(Stop::Escalate { .. }) => unreachable!("the machine never refuses"),
             }
-
-            // Phase B: escalated slices resume serially, in the window's
-            // canonical order; the canonically-first failure aborts the run.
-            let mut serial = std::mem::take(&mut self.serial);
-            for out in &mut self.halted {
-                serial.append(out);
-            }
-            serial.sort_unstable_by_key(|h| h.key);
-            let span_b = (!serial.is_empty())
-                .then(|| machine.timeline().start())
-                .flatten();
-            let window_cycle = serial.first().map_or(0, |h| h.t);
-            for Halted { core, mut t, budget, stop, .. } in serial.drain(..) {
-                let resumed = match stop {
-                    Stop::Escalate { .. } => {
-                        self.step_core(machine, core, &mut t, budget, tasks, barrier_addr)
-                    }
-                    failed => Err(failed),
-                };
-                match resumed {
-                    Ok(()) => phase_end = phase_end.max(t),
-                    Err(Stop::Fail(e)) => return Err(self.cores[core as usize].failed(CoreId(core), t, e)),
-                    Err(Stop::Escalate { .. }) => unreachable!("the machine never refuses"),
-                }
-            }
-            self.serial = serial;
-            machine.timeline_mut().service("phase_b", span_b, window_cycle);
         }
-
-        // 4. Barrier release broadcast.
-        self.now = phase_end + self.barrier_release;
+        self.serial = serial;
+        machine.timeline_mut().service("phase_b", span_b, window_cycle);
         Ok(())
     }
 
     /// Advances one core on the full machine from `*t` until `budget`
-    /// expires, it arrives at the barrier, or it fails. Leaves `*t` at the
-    /// core's barrier-arrival time when it arrives (else the current
-    /// time, or the failing operation's issue time).
+    /// expires, it arrives at its program's barrier, or it fails. Leaves
+    /// `*t` at the core's barrier-arrival time when it arrives (else the
+    /// current time, or the failing operation's issue time).
     fn step_core(
         &mut self,
         machine: &mut Machine,
         core_idx: u32,
         t: &mut Cycle,
         budget: Cycle,
-        tasks: &[Task],
-        barrier_addr: Addr,
     ) -> Result<(), Stop> {
         let ci = core_idx as usize;
+        let cluster = self.cores[ci].cluster;
+        let n = self.queues.len();
+        let q = &mut self.queues[cluster.0 as usize % n];
         loop {
             // Need a task?
             if self.cores[ci].task.is_none() {
-                let cluster = self.cores[ci].cluster;
-                let picked = match self.queue_model {
+                let picked = match machine.config().task_queue {
                     crate::config::TaskQueueModel::Global => {
-                        // One atomic to the single global queue word.
-                        *t = machine.uncached_atomic(cluster, self.queue_addr, AtomicKind::Add, 1, *t)?
-                            + self.dequeue_overhead;
-                        if self.next_task >= self.task_count {
-                            None
-                        } else {
-                            let idx = self.next_task;
-                            self.next_task += 1;
-                            Some(idx)
-                        }
+                        // One atomic to the program's single queue word.
+                        *t = machine.uncached_atomic(cluster, q.queue_addr, AtomicKind::Add, 1, *t)?
+                            + machine.config().dequeue_overhead;
+                        (q.next_task < q.tasks.len()).then(|| {
+                            q.next_task += 1;
+                            q.next_task - 1
+                        })
                     }
                     crate::config::TaskQueueModel::PerClusterStealing => {
                         // Dequeue from the cluster's own queue word first
                         // (per-cluster words live on distinct lines), then
-                        // steal round-robin (§2.3: stolen tasks pull their
-                        // data via HWcc or pay SWcc refetch).
-                        let n = self.cluster_queues.len();
+                        // steal round-robin within the program (§2.3:
+                        // stolen tasks pull their data via HWcc or pay
+                        // SWcc refetch).
+                        let own = cluster.0 as usize / n;
+                        let m = q.cluster_queues.len();
                         let mut picked = None;
-                        for probe in 0..n {
-                            let victim = (cluster.0 as usize + probe) % n;
-                            if self.cluster_queues[victim].0 >= self.cluster_queues[victim].1 {
+                        for probe in 0..m {
+                            let victim = (own + probe) % m;
+                            if q.cluster_queues[victim].0 >= q.cluster_queues[victim].1 {
                                 continue;
                             }
-                            let qaddr = Addr(self.queue_addr.0 + 64 * victim as u32);
+                            let qaddr = Addr(q.queue_addr.0 + 64 * victim as u32);
                             *t = machine.uncached_atomic(cluster, qaddr, AtomicKind::Add, 1, *t)?
-                                + self.dequeue_overhead;
+                                + machine.config().dequeue_overhead;
                             // Re-check after the (simulated) atomic: the
                             // host-side cursor is the truth.
-                            let q = &mut self.cluster_queues[victim];
-                            if q.0 < q.1 {
-                                picked = Some(q.0);
-                                q.0 += 1;
+                            let cq = &mut q.cluster_queues[victim];
+                            if cq.0 < cq.1 {
+                                picked = Some(cq.0);
+                                cq.0 += 1;
                                 break;
                             }
                         }
                         if picked.is_none() {
                             // One last atomic on the own queue observed empty.
-                            let qaddr = Addr(self.queue_addr.0 + 64 * (cluster.0 as usize % n) as u32);
+                            let qaddr = Addr(q.queue_addr.0 + 64 * own as u32);
                             *t = machine.uncached_atomic(cluster, qaddr, AtomicKind::Add, 0, *t)?;
                         }
                         picked
@@ -769,8 +900,9 @@ impl Exec {
                 };
                 let Some(idx) = picked else {
                     // Queues empty: arrive at the barrier.
-                    *t = machine.uncached_atomic(cluster, barrier_addr, AtomicKind::Add, 1, *t)?;
-                    self.arrived += 1;
+                    *t =
+                        machine.uncached_atomic(cluster, q.barrier_addr, AtomicKind::Add, 1, *t)?;
+                    q.arrived += 1;
                     return Ok(());
                 };
                 let cs = &mut self.cores[ci];
@@ -778,29 +910,33 @@ impl Exec {
                 cs.pc_line = 0;
                 cs.fetch_counter = 0;
             }
-            run_ops(machine, &mut self.cores[ci], CoreId(core_idx), t, budget, tasks)?;
+            run_ops(machine, &mut self.cores[ci], CoreId(core_idx), t, budget, &q.tasks)?;
             if self.cores[ci].task.is_some() {
                 // Budget expired mid-task: back into the lane's queue.
-                let lane = self.cores[ci].cluster.0 as usize;
-                self.lanes.schedule(lane, *t, core_idx);
+                self.lanes.schedule(cluster.0 as usize, *t, core_idx);
                 return Ok(());
             }
         }
     }
 }
 
-/// Applies one region op: pipelined atomics to the fine-grain table, issued
-/// by the runtime on cluster 0.
+/// Applies one region op of program `pid`: pipelined atomics to its
+/// fine-grain table, issued by its runtime on its first cluster, `pid`.
 ///
 /// Lines are grouped by table word — a single `atom.or`/`atom.and` with a
 /// multi-bit mask transitions up to 32 lines; the directory still serializes
 /// the per-line transitions when it snoops the update (§3.6: "if a request
 /// for multiple line state transitions occurs, the directory serializes the
 /// requests line-by-line").
-fn apply_region_op(machine: &mut Machine, op: &RegionOp, mut t: Cycle) -> Result<Cycle, RunError> {
+fn apply_region_op(
+    machine: &mut Machine,
+    pid: usize,
+    op: &RegionOp,
+    mut t: Cycle,
+) -> Result<Cycle, RunError> {
     use cohesion_protocol::region::Domain;
     use std::collections::BTreeMap;
-    let fine = *machine.fine_table();
+    let fine = *machine.fine_table_of(pid);
     // word address -> bit mask of lines transitioning in this op.
     let mut masks: BTreeMap<u32, u32> = BTreeMap::new();
     for line in op.lines() {
@@ -814,7 +950,7 @@ fn apply_region_op(machine: &mut Machine, op: &RegionOp, mut t: Cycle) -> Result
             Domain::HWcc => (AtomicKind::And, !mask),
         };
         let (t_done, _) =
-            machine.atomic(ClusterId(0), cohesion_mem::addr::Addr(word), kind, operand, t)?;
+            machine.atomic(ClusterId(pid as u32), cohesion_mem::addr::Addr(word), kind, operand, t)?;
         done_max = done_max.max(t_done);
         // Issue the next table update after a fixed issue interval; the
         // directory transitions proceed in the background.

@@ -384,38 +384,31 @@ impl Client {
 
     /// Like [`Client::recv`] but also returns the verbatim payload text.
     fn recv_raw(&mut self) -> Result<(MsgType, Value, String), ClientError> {
-        loop {
-            match read_frame(&mut self.stream) {
-                Ok(f) => {
-                    let v = jsonv::parse(&f.payload).map_err(|e| {
-                        ClientError::local(format!("bad {} payload: {e}", f.msg.name()))
-                    })?;
-                    if f.msg == MsgType::Error {
-                        // Request-level error: surface code + message. A
-                        // job-scoped run-failed is handled by the caller.
-                        let code = v
-                            .get("code")
-                            .and_then(Value::as_str)
-                            .and_then(ErrorCode::from_label);
-                        if code != Some(ErrorCode::RunFailed) {
-                            return Err(ClientError {
-                                code,
-                                message: v
-                                    .get("message")
-                                    .and_then(Value::as_str)
-                                    .unwrap_or("server error")
-                                    .to_string(),
-                            });
-                        }
-                    }
-                    return Ok((f.msg, v, f.payload));
-                }
-                Err(FrameError::IdleTimeout) => {
-                    return Err(ClientError::local("timed out waiting for the server"))
-                }
-                Err(e) => return Err(ClientError::local(e.to_string())),
+        let f = read_frame(&mut self.stream).map_err(|e| match e {
+            FrameError::IdleTimeout => ClientError::local("timed out waiting for the server"),
+            e => ClientError::local(e.to_string()),
+        })?;
+        let v = jsonv::parse(&f.payload)
+            .map_err(|e| ClientError::local(format!("bad {} payload: {e}", f.msg.name())))?;
+        if f.msg == MsgType::Error {
+            // Request-level error: surface code + message. A job-scoped
+            // run-failed is handled by the caller.
+            let code = v
+                .get("code")
+                .and_then(Value::as_str)
+                .and_then(ErrorCode::from_label);
+            if code != Some(ErrorCode::RunFailed) {
+                return Err(ClientError {
+                    code,
+                    message: v
+                        .get("message")
+                        .and_then(Value::as_str)
+                        .unwrap_or("server error")
+                        .to_string(),
+                });
             }
         }
+        Ok((f.msg, v, f.payload))
     }
 
     fn roundtrip(

@@ -14,9 +14,9 @@
 //! * [`stats`] — counters, time-weighted occupancy integrators, and the
 //!   per-class message matrices the benchmark harness consumes.
 //! * [`metrics`] — the opt-in machine-wide telemetry registry: named
-//!   counters, gauges, log2-bucketed latency histograms, and a
-//!   cycle-windowed time-series sampler, snapshotted into deterministic
-//!   JSON run reports.
+//!   counters, log2-bucketed latency histograms, and a cycle-windowed
+//!   time-series sampler, snapshotted (with derived gauges) into
+//!   deterministic JSON run reports.
 //! * [`timeline`] — the opt-in shard-epoch flight recorder: a bounded
 //!   ring of typed wall-clock spans (phase A/B, cache/DRAM service,
 //!   crew park/run) with deterministic escalation-cause attribution and

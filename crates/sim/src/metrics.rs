@@ -1,5 +1,6 @@
-//! First-party telemetry: named counters, gauges, log2-bucketed latency
-//! histograms, and a cycle-windowed time-series sampler.
+//! First-party telemetry: named counters, log2-bucketed latency
+//! histograms, and a cycle-windowed time-series sampler, plus the derived
+//! gauges a [`Snapshot`] carries.
 //!
 //! The paper's evaluation is aggregate (end-of-run message totals,
 //! Figs. 2/8), but the interesting behavior in Cohesion is
@@ -266,21 +267,20 @@ impl Sampler {
     }
 }
 
-/// The machine-wide telemetry registry: named counters, gauges,
-/// histograms, a cycle-windowed [`Sampler`], and event marks.
+/// The machine-wide telemetry registry: named counters, histograms, a
+/// cycle-windowed [`Sampler`], and event marks.
 ///
 /// A *disarmed* registry ([`Registry::disarmed`], the default) reduces
 /// every record call to one branch and never allocates; an *armed* one
 /// ([`Registry::armed`]) accumulates everything and can be summarized
 /// with [`Registry::snapshot`]. Names are `&'static str` so the hot
 /// recording paths never build strings; dynamically-named derived series
-/// (per-cluster, per-bank) are pushed into the [`Snapshot`] at
-/// summary time instead.
+/// (per-cluster, per-bank) and gauges are pushed into the [`Snapshot`]
+/// at summary time instead.
 #[derive(Debug, Clone)]
 pub struct Registry {
     armed: bool,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
     sampler: Sampler,
     marks: BTreeMap<&'static str, Vec<(Cycle, u64)>>,
@@ -298,7 +298,6 @@ impl Registry {
         Registry {
             armed: false,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             sampler: Sampler::new(1),
             marks: BTreeMap::new(),
@@ -331,14 +330,6 @@ impl Registry {
     pub fn add(&mut self, name: &'static str, n: u64) {
         if self.armed {
             *self.counters.entry(name).or_insert(0) += n;
-        }
-    }
-
-    /// Sets gauge `name` to `value` (last write wins).
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        if self.armed {
-            self.gauges.insert(name, value);
         }
     }
 
@@ -377,14 +368,12 @@ impl Registry {
 
     /// Folds `other` into this registry: counters add, histograms merge
     /// bucket-wise, sampler series add element-wise (window sizes must
-    /// match), gauges are overwritten by `other`'s values (last write
-    /// wins, as with [`Registry::set_gauge`]), and marks append in
-    /// `other`'s record order.
+    /// match), and marks append in `other`'s record order.
     ///
     /// Merging is associative, and commutative for everything except
-    /// gauge overwrites and mark order — so callers that need
-    /// deterministic output (the sharded executor folding per-lane
-    /// scratch registries) must merge in a fixed order (lane 0, 1, …).
+    /// mark order — so callers that need deterministic output (the
+    /// sharded executor folding per-lane scratch registries) must merge
+    /// in a fixed order (lane 0, 1, …).
     ///
     /// Merging into a disarmed registry is a no-op, mirroring every
     /// other record call.
@@ -394,9 +383,6 @@ impl Registry {
         }
         for (name, n) in &other.counters {
             *self.counters.entry(name).or_insert(0) += n;
-        }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name, *v);
         }
         for (name, h) in &other.histograms {
             self.histograms.entry(name).or_default().merge(h);
@@ -436,7 +422,7 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             counters: self.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            gauges: Vec::new(),
             histograms: self
                 .histograms
                 .iter()
@@ -678,7 +664,6 @@ mod tests {
         m.record_latency("h", 9);
         m.sample_add("s", 10, 1);
         m.mark("mk", 5, 5);
-        m.set_gauge("g", 1.0);
         let snap = m.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -695,9 +680,9 @@ mod tests {
         m.record_latency("lat", 4);
         m.sample_add("traffic", 25, 3);
         m.mark("barrier", 30, 12);
-        m.set_gauge("occ", 1.5);
         let mut snap = m.snapshot();
         snap.push_counter("derived/mid", 7);
+        snap.push_gauge("occ", 1.5);
         snap.finalize();
         let json = snap.to_json();
         assert_eq!(snap.counters[0].0, "a/first");
@@ -729,7 +714,6 @@ mod tests {
             m.add("misses", 1);
             m.record_latency("lat", 70);
             m.sample_add("traffic", 25, 1);
-            m.set_gauge("occ", 2.5);
         }
         a.merge_from(&b);
         let mut merged = a.snapshot();

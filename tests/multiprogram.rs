@@ -1,11 +1,11 @@
 //! Integration: multiprogrammed execution with per-process region tables
 //! (§3.5's virtualization, implemented).
 
-use cohesion::config::{DesignPoint, MachineConfig};
+use cohesion::config::{DesignPoint, MachineConfig, TaskQueueModel};
 use cohesion::multi::run_workloads;
 use cohesion::run::run_workload;
 use cohesion::workloads::micro::Microbench;
-use cohesion_kernels::{kernel_by_name, Scale};
+use cohesion_kernels::{kernel_by_name, Scale, KERNEL_NAMES};
 
 #[test]
 fn two_kernels_share_the_machine_and_both_verify() {
@@ -46,24 +46,57 @@ fn four_microbenches_with_separate_tables() {
 
 #[test]
 fn single_job_multi_matches_the_plain_runner_semantics() {
-    // Not cycle-identical (the multi runner interleaves job bookkeeping
-    // differently), but the same kernel must verify and do comparable work.
-    let cfg = MachineConfig::scaled(16, DesignPoint::cohesion(1024, 128));
-    let mut wl = kernel_by_name("sobel", Scale::Tiny);
-    let multi = run_workloads(&cfg, vec![wl.as_mut()]).expect("verifies");
-    let mut wl2 = kernel_by_name("sobel", Scale::Tiny);
-    let single = run_workload(&cfg, wl2.as_mut()).expect("verifies");
-    assert_eq!(multi[0].tasks, single.tasks);
-    assert_eq!(multi[0].phases, single.phases);
+    // One engine: a one-job multiprogrammed run is the plain run.
+    for dp in [
+        DesignPoint::swcc(),
+        DesignPoint::hwcc_real(1024, 128),
+        DesignPoint::cohesion(1024, 128),
+    ] {
+        let cfg = MachineConfig::scaled(16, dp);
+        for kernel in KERNEL_NAMES {
+            let mut wl = kernel_by_name(kernel, Scale::Tiny);
+            let multi = run_workloads(&cfg, vec![wl.as_mut()]).expect("verifies");
+            let mut wl2 = kernel_by_name(kernel, Scale::Tiny);
+            let single = run_workload(&cfg, wl2.as_mut()).expect("verifies");
+            let job = &multi[0];
+            let what = format!("{kernel} under {dp:?}");
+            assert_eq!(job.finished_at, single.cycles, "{what}: cycles");
+            assert_eq!(job.phases, single.phases, "{what}: phases");
+            assert_eq!(job.tasks, single.tasks, "{what}: tasks");
+            assert_eq!(job.messages, single.messages, "{what}: messages");
+            assert_eq!(job.instr_stats, single.instr_stats, "{what}: instr_stats");
+        }
+    }
+}
+
+#[test]
+fn multiprogrammed_runs_do_not_depend_on_shards() {
+    // Every field of every job's report, at 1, 2 and 4 host threads.
+    let run = |shards| {
+        let mut cfg = MachineConfig::scaled(32, DesignPoint::cohesion(1024, 128));
+        cfg.shards = shards;
+        let mut a = kernel_by_name("heat", Scale::Tiny);
+        let mut b = kernel_by_name("kmeans", Scale::Tiny);
+        let reports = run_workloads(&cfg, vec![a.as_mut(), b.as_mut()]).expect("verifies");
+        format!("{reports:?}")
+    };
+    let one = run(1);
+    for shards in [2, 4] {
+        assert_eq!(run(shards), one, "shards = {shards}");
+    }
 }
 
 #[test]
 fn invariants_hold_under_multiprogramming() {
-    let mut cfg = MachineConfig::scaled(32, DesignPoint::cohesion(512, 128));
-    cfg.check_invariants = true;
-    let mut a = kernel_by_name("dmm", Scale::Tiny);
-    let mut b = kernel_by_name("stencil", Scale::Tiny);
-    run_workloads(&cfg, vec![a.as_mut(), b.as_mut()]).expect("verifies with checks on");
+    for model in [TaskQueueModel::Global, TaskQueueModel::PerClusterStealing] {
+        let mut cfg = MachineConfig::scaled(32, DesignPoint::cohesion(512, 128));
+        cfg.check_invariants = true;
+        cfg.task_queue = model;
+        let mut a = kernel_by_name("dmm", Scale::Tiny);
+        let mut b = kernel_by_name("stencil", Scale::Tiny);
+        run_workloads(&cfg, vec![a.as_mut(), b.as_mut()])
+            .unwrap_or_else(|e| panic!("{model:?}: {e}"));
+    }
 }
 
 #[test]
