@@ -17,6 +17,13 @@ use cohesion_bench::harness::Options;
 use cohesion_bench::table::ratio;
 use cohesion_runtime::api::CohMode;
 
+/// The committed full-scale Figure 8 table for the appendix, embedded at
+/// build time: regenerating it takes hours on a many-core host
+/// (docs/performance.md, "Known drift"), with
+/// `cargo run --release -p cohesion-bench --bin fig8 -- --cores 1024
+///  --scale medium --kernels heat,sobel,kmeans > results/fig8-1024-medium.txt`.
+const FIG8_1024_MEDIUM: &str = include_str!("../../../../results/fig8-1024-medium.txt");
+
 fn main() {
     let opts = Options::from_args();
     let out_path = std::env::args()
@@ -283,32 +290,26 @@ fn main() {
     )
     .unwrap();
 
-    // Full-scale appendix: include the 1024-core spot-check table when its
-    // results file exists (regenerate with:
-    // `cargo run --release -p cohesion-bench --bin fig8 -- --cores 1024
-    //  --scale medium --kernels heat,sobel,kmeans > results/fig8-1024-medium.txt`).
-    if let Ok(table) = std::fs::read_to_string("results/fig8-1024-medium.txt") {
-        writeln!(w, "## Appendix — full-scale (1024-core) spot check\n").unwrap();
-        writeln!(
-            w,
-            "The Table 3 machine without scaling (1024 cores, 128 clusters, 32 L3 banks, \
-             8 GDDR5 channels), medium problem sizes, message-based figures only (at \
-             medium sizes several kernels have fewer tasks than the 1024 cores, so \
-             runtime figures would be parallelism-limited rather than \
-             coherence-limited):\n"
-        )
-        .unwrap();
-        writeln!(w, "```\n{}```\n", table).unwrap();
-        writeln!(
-            w,
-            "The 128-core shapes hold at full scale: HWcc pays ~1.8–1.9x message \
-             traffic on the streaming kernels (write requests + read releases), \
-             Cohesion tracks SWcc within 1%, and kmeans under Cohesion drops to \
-             0.14x of SWcc by replacing the global atomic histogramming with \
-             directory-combined partial accumulators.\n"
-        )
-        .unwrap();
-    }
+    writeln!(w, "## Appendix — full-scale (1024-core) spot check\n").unwrap();
+    writeln!(
+        w,
+        "The Table 3 machine without scaling (1024 cores, 128 clusters, 32 L3 banks, \
+         8 GDDR5 channels), medium problem sizes, message-based figures only (at \
+         medium sizes several kernels have fewer tasks than the 1024 cores, so \
+         runtime figures would be parallelism-limited rather than \
+         coherence-limited):\n"
+    )
+    .unwrap();
+    writeln!(w, "```\n{FIG8_1024_MEDIUM}```\n").unwrap();
+    writeln!(
+        w,
+        "The 128-core shapes hold at full scale: HWcc pays ~1.8–1.9x message \
+         traffic on the streaming kernels (write requests + read releases), \
+         Cohesion tracks SWcc within 1%, and kmeans under Cohesion drops to \
+         0.14x of SWcc by replacing the global atomic histogramming with \
+         directory-combined partial accumulators.\n"
+    )
+    .unwrap();
 
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
     eprintln!("[all_figures] wrote {out_path}");

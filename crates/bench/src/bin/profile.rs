@@ -499,7 +499,7 @@ fn render_run(run: &Value) -> String {
         .and_then(|(_, v)| v.as_f64())
         .unwrap_or(0.0);
     out.push_str(&format!(
-        "cycles {}, events scheduled {}, event-wheel peak {}\n",
+        "cycles {}, events scheduled {}, event-queue peak {}\n",
         cycles as u64,
         counter(counters, "events/scheduled"),
         counter(counters, "events/max_pending"),

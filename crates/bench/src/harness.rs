@@ -16,7 +16,7 @@ use cohesion::report::RunReport;
 use cohesion::run::run_workload;
 use cohesion_kernels::{Scale, KERNEL_NAMES};
 use cohesion_mem::addr::{Addr, LineAddr};
-use cohesion_sim::metrics::Snapshot;
+use cohesion_sim::metrics::{json_escape, Snapshot};
 use cohesion_sim::timeline::{LineEvent, Mark, TimelineSnapshot, Track};
 use cohesion_testkit::pool;
 
@@ -33,12 +33,14 @@ pub struct Options {
     /// Worker threads for [`run_jobs`] sweeps (defaults to
     /// `COHESION_JOBS` or the machine's available parallelism).
     pub jobs: usize,
-    /// Host threads sharding a *single* simulation (`--shards`, or
-    /// `COHESION_SHARDS`; default 1). `auto` (or `0`) resolves to the
-    /// host's available parallelism at machine construction, clamped to
-    /// the cluster count. Orthogonal to `jobs`: `jobs` parallelizes
-    /// across independent runs of a sweep, `shards` parallelizes inside
-    /// one `Machine`. Like `jobs`, this never changes simulated results
+    /// Host threads sharding a *single* simulation (`--shards`; default
+    /// 1). `auto` (or `0`) resolves to the host's available parallelism
+    /// at machine construction, clamped to the cluster count. Orthogonal
+    /// to `jobs`: `jobs` parallelizes across independent runs of a sweep,
+    /// `shards` parallelizes inside one `Machine`. Unlike `jobs`, it
+    /// defaults off: sweeps already saturate the host through `jobs`, and
+    /// per-run sharding only pays when one large simulation is the
+    /// bottleneck. Like `jobs`, this never changes simulated results
     /// — every output is byte-identical at any shard count — so neither
     /// the flag nor the resolved count appears in emitted documents.
     pub shards: u32,
@@ -78,25 +80,13 @@ impl Default for Options {
             scale: Scale::Small,
             kernels: KERNEL_NAMES.iter().map(|s| s.to_string()).collect(),
             jobs: pool::default_jobs(),
-            shards: default_shards(),
+            shards: 1,
             seed: 0,
             metrics_out: None,
             trace_out: None,
             watch: default_watch(),
         }
     }
-}
-
-/// Default shard count: `COHESION_SHARDS` when set and valid, else 1.
-/// Unlike `jobs` (which defaults to the host's parallelism), sharding a
-/// single run defaults *off* — sweeps already saturate the host through
-/// `jobs`, and per-run sharding only pays when a single large simulation
-/// is the bottleneck.
-fn default_shards() -> u32 {
-    std::env::var("COHESION_SHARDS")
-        .ok()
-        .and_then(|v| parse_shards(&v))
-        .unwrap_or(1)
 }
 
 /// Default watched line: the line holding the `COHESION_WATCH` byte
@@ -129,7 +119,7 @@ fn parse_watch(raw: &str) -> Result<u32, String> {
     })
 }
 
-/// Parses a shard-count value: a positive integer, or `auto` / `0` for
+/// Parses a `--shards` value: a positive integer, or `auto` / `0` for
 /// the `MachineConfig::resolve_shards` host-parallelism sentinel.
 fn parse_shards(v: &str) -> Option<u32> {
     if v.eq_ignore_ascii_case("auto") {
@@ -405,17 +395,17 @@ pub fn timeline_document(binary: &str, opts: &Options, runs: &[(String, String)]
 /// render: `schema`, `binary`, `options`, and one `{"label", key}` object
 /// per run.
 fn run_document(schema: &str, key: &str, binary: &str, opts: &Options, runs: &[(String, String)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let scale = match opts.scale {
         Scale::Tiny => "tiny",
         Scale::Small => "small",
         Scale::Medium => "medium",
     };
-    let kernels: Vec<String> = opts.kernels.iter().map(|k| format!("\"{}\"", esc(k))).collect();
+    let kernels: Vec<String> =
+        opts.kernels.iter().map(|k| format!("\"{}\"", json_escape(k))).collect();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
-    out.push_str(&format!("  \"binary\": \"{}\",\n", esc(binary)));
+    out.push_str(&format!("  \"binary\": \"{}\",\n", json_escape(binary)));
     // `jobs` and `shards` are deliberately absent: the document must be
     // byte-identical at any worker or shard count.
     // A zero seed (the paper's pinned inputs) is omitted so documents
@@ -435,7 +425,7 @@ fn run_document(schema: &str, key: &str, binary: &str, opts: &Options, runs: &[(
         let comma = if i + 1 < runs.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"{key}\": {json}}}{comma}\n",
-            esc(label)
+            json_escape(label)
         ));
     }
     out.push_str("  ]\n}\n");
@@ -464,7 +454,6 @@ pub fn trace_tid(track: Track) -> u64 {
 /// sorted by `(pid, tid, ts, dur)` so every track's timestamps are
 /// monotonic.
 pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     // (pid, tid, ts, sort-tiebreak, rendered event) — metadata first.
     let mut events: Vec<(u64, u64, u64, u64, String)> = Vec::new();
     for (pid, (label, snap)) in runs.iter().enumerate() {
@@ -477,7 +466,7 @@ pub fn chrome_trace(runs: &[(String, TimelineSnapshot)]) -> String {
             format!(
                 "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                esc(label)
+                json_escape(label)
             ),
         ));
         let mut tracks: Vec<(u64, String)> = Vec::new();

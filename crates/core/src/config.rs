@@ -281,7 +281,7 @@ pub struct MachineConfig {
     /// owned-bank bookings interleave with the serial spine differently,
     /// and at multi-slot shapes that timing shift can butterfly into
     /// eviction-order differences (the same accepted drift class the
-    /// sharded engine introduced vs. the pure event-wheel machine).
+    /// sharded engine introduced vs. the pre-sharding serial machine).
     /// Within one setting of this flag,
     /// results remain byte-identical at every shard count. A host-side
     /// engine toggle, excluded from emitted documents and service cache

@@ -759,7 +759,7 @@ impl Machine {
     }
 
     /// Mutable access to the telemetry registry, for layers above the
-    /// machine (the run loop records event-wheel statistics here).
+    /// machine (the run loop records event-queue statistics here).
     pub fn metrics_mut(&mut self) -> &mut Registry {
         &mut self.metrics
     }

@@ -13,7 +13,6 @@ use cohesion_runtime::task::{AtomicKind, Op, Phase, RegionOp, Task};
 use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::ids::{ClusterId, CoreId};
-use cohesion_sim::shard::LaneQueues;
 use cohesion_sim::timeline::{CrewSpanLog, EscalationCause, CREW_RING_CAPACITY};
 use cohesion_sim::Cycle;
 use std::sync::Arc;
@@ -205,9 +204,10 @@ impl std::fmt::Display for OpSite {
 /// Maximum cycles one core advances per scheduling slice; bounds the
 /// timing skew between cores' inline transactions. It is also the epoch
 /// length of the sharded executor: every event re-scheduled by a core
-/// slice lands at least `QUANTUM` cycles after the slice began, so a
-/// window of this width can be drained completely before any of the
-/// work it spawns becomes runnable — the conservative-PDES lookahead.
+/// slice lands at least `QUANTUM` cycles after the slice began, so each
+/// lane can pop its own queue up to a window's horizon (earliest pending
+/// wake-up + `QUANTUM`) without popping any of the work the window
+/// spawns — the conservative-PDES lookahead.
 const QUANTUM: Cycle = 64;
 
 /// Ops per instruction-fetch line: 32-byte lines hold 8 RISC instructions.
@@ -432,15 +432,12 @@ pub(crate) fn run_programs<'w>(
 }
 
 /// One lane's bundle of work for a window: its slice of the machine, its
-/// event queue, its cores, and the window's events for the lane.
+/// event queue, and its cores.
 struct LaneWork<'a> {
     ctx: LaneCtx<'a>,
     queue: &'a mut EventQueue<u32>,
     cores: &'a mut [CoreState],
     core_base: u32,
-    /// `(cycle, core)` — this lane's events in its `(cycle, seq)` pop
-    /// order (an event's `seq` is its index here).
-    events: &'a [(Cycle, u32)],
     /// Slices that stopped in phase A and need the serial path.
     out: &'a mut Vec<Halted>,
     /// Max completion cycle over slices that finished their budget.
@@ -459,23 +456,30 @@ struct Halted {
     stop: Stop,
 }
 
-/// Runs one lane's events for the window, on the tasks of the lane's
-/// program. Stops at the lane's first failure: a serial engine would
-/// never have executed this lane's later slices past an aborting error,
-/// and phase B surfaces the canonically-first error of the whole window.
-fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue]) {
-    let Some(&(window_cycle, _)) = w.events.first() else {
+/// Runs one lane's events before `horizon` for the window, in its
+/// queue's `(cycle, seq)` pop order, on the tasks of the lane's program.
+/// An event's `seq` is its index in that order. Stops at the lane's first
+/// failure: a serial engine would never have executed this lane's later
+/// slices past an aborting error, and phase B surfaces the
+/// canonically-first error of the whole window.
+fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue], horizon: Cycle) {
+    let Some(window_cycle) = w.queue.peek_cycle().filter(|&c| c < horizon) else {
         return;
     };
     let lane = w.ctx.cluster().0;
     let tasks = &queues[lane as usize % queues.len()].tasks;
     let span_start = w.ctx.timeline().start();
-    for (seq, &(t0, core)) in w.events.iter().enumerate() {
+    let mut seq = 0;
+    while w.queue.peek_cycle().is_some_and(|c| c < horizon) {
+        let (t0, core) = w.queue.pop().expect("peeked");
         let budget = t0 + QUANTUM;
         let mut t = t0;
         let cs = &mut w.cores[(core - w.core_base) as usize];
         match lane_slice(&mut w.ctx, cs, CoreId(core), &mut t, budget, tasks) {
             Ok(()) => {
+                // The slice ran out its budget, so it wakes at or after
+                // the horizon: this window never pops it.
+                debug_assert!(t >= horizon, "re-scheduled at {t}, before the horizon {horizon}");
                 w.queue.schedule(t, core);
                 w.ctx.timeline().note_fast();
                 w.max_end = w.max_end.max(t);
@@ -486,7 +490,7 @@ fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue]) {
                     w.ctx.timeline().note_escalation(lane, t, cause);
                 }
                 w.out.push(Halted {
-                    key: (t0, lane, seq as u32),
+                    key: (t0, lane, seq),
                     core,
                     t,
                     budget,
@@ -497,17 +501,9 @@ fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue]) {
                 }
             }
         }
+        seq += 1;
     }
     w.ctx.timeline().service("phase_a", lane, span_start, window_cycle);
-}
-
-/// Empties `jobs` and hands its allocation to jobs of another borrow, so
-/// the job list is allocated once per run rather than once per window.
-/// The element type is the same up to lifetimes, so the collect reuses
-/// the buffer in place.
-fn relend<'b>(mut jobs: Vec<LaneWork<'_>>) -> Vec<LaneWork<'b>> {
-    jobs.clear();
-    jobs.into_iter().map(|_| unreachable!("the list is empty")).collect()
 }
 
 /// One phase-A slice: [`run_ops`] on a lane view. A core that needs a
@@ -609,14 +605,16 @@ struct TaskQueue {
 /// The per-run execution engine (cores + each program's queue and
 /// barrier), sharded.
 ///
-/// Simulated time advances in windows of [`QUANTUM`] cycles. Each window
-/// is drained in two phases:
+/// Simulated time advances in windows of [`QUANTUM`] cycles, from the
+/// earliest pending wake-up to the window's horizon. Each lane has its own
+/// event queue, holding one wake-up per waiting core. Each window runs in
+/// two phases:
 ///
-/// * **Phase A (parallel):** every cluster lane steps its own cores
-///   through the window ([`run_ops`] over a [`LaneCtx`]), in the lane's
-///   pop order. An operation whose guard refuses (it needs another lane's
-///   bank, DRAM, probes, an uncached atomic, a task queue) escalates
-///   untouched.
+/// * **Phase A (parallel):** every cluster lane pops its own queue up to
+///   the horizon and steps those cores ([`run_ops`] over a [`LaneCtx`]),
+///   in the lane's pop order. An operation whose guard refuses (it needs
+///   another lane's bank, DRAM, probes, an uncached atomic, a task queue)
+///   escalates untouched.
 /// * **Phase B (serial):** escalated slices resume on the full machine
 ///   in the window's canonical `(cycle, lane, seq)` order ([`run_ops`]
 ///   over the [`Machine`]).
@@ -630,7 +628,8 @@ struct Exec {
     cores: Vec<CoreState>,
     /// Indexed by program.
     queues: Vec<TaskQueue>,
-    lanes: LaneQueues<u32>,
+    /// Per lane: its cores' pending wake-ups, `(cycle, core)`.
+    lanes: Vec<EventQueue<u32>>,
     /// Per-lane metrics scratches, absorbed into the machine by `finish`.
     scratches: Vec<LaneScratch>,
     /// Worker threads for phase A; `None` = run lanes inline (shards=1).
@@ -640,14 +639,10 @@ struct Exec {
     crew_trace: Option<Arc<CrewSpanLog>>,
     cores_per_cluster: usize,
     // Window buffers, reused from window to window.
-    /// Per lane: the window's `(cycle, core)` events.
-    window: Vec<Vec<(Cycle, u32)>>,
     /// Per lane: the slices phase A stopped.
     halted: Vec<Vec<Halted>>,
     /// Phase B's slices, in canonical order.
     serial: Vec<Halted>,
-    /// Phase A's jobs, one per lane in lane order (empty between windows).
-    jobs: Vec<LaneWork<'static>>,
 }
 
 impl Exec {
@@ -680,7 +675,7 @@ impl Exec {
         Exec {
             cores,
             queues,
-            lanes: LaneQueues::new(n_lanes),
+            lanes: std::iter::repeat_with(EventQueue::new).take(n_lanes).collect(),
             scratches: machine.new_lane_scratches(),
             crew: (threads > 1).then(|| match &crew_trace {
                 Some(tr) => Crew::traced(threads - 1, Arc::clone(tr)),
@@ -688,23 +683,24 @@ impl Exec {
             }),
             crew_trace,
             cores_per_cluster: cfg.cores_per_cluster as usize,
-            window: vec![Vec::new(); n_lanes],
             halted: std::iter::repeat_with(Vec::new).take(n_lanes).collect(),
             serial: Vec::new(),
-            jobs: Vec::new(),
         }
     }
 
     /// Folds per-lane accounting back into the machine (metrics
-    /// scratches in fixed lane order, crew spans, event-wheel totals).
+    /// scratches in fixed lane order, crew spans, event-queue totals
+    /// summed over the lanes).
     fn finish(&mut self, machine: &mut Machine) {
         machine.absorb_lane_scratches(&self.scratches);
         if let Some(trace) = &self.crew_trace {
             machine.timeline_mut().absorb_crew(trace);
         }
         let metrics = machine.metrics_mut();
-        metrics.add("events/scheduled", self.lanes.scheduled());
-        metrics.add("events/max_pending", self.lanes.max_pending() as u64);
+        let scheduled = self.lanes.iter().map(EventQueue::scheduled).sum();
+        let max_pending = self.lanes.iter().map(EventQueue::max_pending).sum::<usize>();
+        metrics.add("events/scheduled", scheduled);
+        metrics.add("events/max_pending", max_pending as u64);
     }
 
     /// Starts a phase of program `pid` at cycle `t`.
@@ -743,7 +739,7 @@ impl Exec {
             if lane % n == pid {
                 cs.task = None;
                 cs.fetch_counter = 0;
-                self.lanes.schedule(lane, t, i as u32);
+                self.lanes[lane].schedule(t, i as u32);
             }
         }
         Ok(())
@@ -759,45 +755,44 @@ impl Exec {
         })
     }
 
-    /// Drains one window: phase A on the lanes, then phase B.
+    /// Runs one window: phase A on the lanes, then phase B.
     fn run_window(&mut self, machine: &mut Machine) -> Result<(), RunError> {
-        self.lanes
-            .pop_window(QUANTUM, &mut self.window)
-            .expect("cores pending but no events scheduled");
+        let horizon = self
+            .lanes
+            .iter()
+            .filter_map(EventQueue::peek_cycle)
+            .min()
+            .expect("cores pending but no events scheduled")
+            + QUANTUM;
         machine.timeline_mut().note_window();
 
         // Phase A: lanes step their cores on lane-local state.
         let n = self.queues.len();
-        let mut jobs = relend(std::mem::take(&mut self.jobs));
-        jobs.extend(
-            machine
-                .lanes(&mut self.scratches)
-                .into_iter()
-                .zip(self.lanes.as_mut_slice())
-                .zip(self.cores.chunks_mut(self.cores_per_cluster))
-                .zip(&self.window)
-                .zip(&mut self.halted)
-                .enumerate()
-                .map(|(c, ((((ctx, queue), cores), events), out))| LaneWork {
-                    ctx,
-                    queue,
-                    cores,
-                    core_base: (c * self.cores_per_cluster) as u32,
-                    events,
-                    out,
-                    max_end: 0,
-                }),
-        );
+        let mut jobs: Vec<LaneWork<'_>> = machine
+            .lanes(&mut self.scratches)
+            .into_iter()
+            .zip(&mut self.lanes)
+            .zip(self.cores.chunks_mut(self.cores_per_cluster))
+            .zip(&mut self.halted)
+            .enumerate()
+            .map(|(c, (((ctx, queue), cores), out))| LaneWork {
+                ctx,
+                queue,
+                cores,
+                core_base: (c * self.cores_per_cluster) as u32,
+                out,
+                max_end: 0,
+            })
+            .collect();
         let queues = &self.queues;
         match &mut self.crew {
-            Some(crew) => crew.run(&mut jobs, |w| process_lane(w, queues)),
-            None => jobs.iter_mut().for_each(|w| process_lane(w, queues)),
+            Some(crew) => crew.run(&mut jobs, |w| process_lane(w, queues, horizon)),
+            None => jobs.iter_mut().for_each(|w| process_lane(w, queues, horizon)),
         }
         for (c, w) in jobs.iter().enumerate() {
             let q = &mut self.queues[c % n];
             q.end = q.end.max(w.max_end);
         }
-        self.jobs = relend(jobs);
         // Lane timeline buffers fold in fixed lane order, so the main
         // ring's drop sequence never depends on host threads.
         if machine.timeline().is_armed() {
@@ -913,7 +908,7 @@ impl Exec {
             run_ops(machine, &mut self.cores[ci], CoreId(core_idx), t, budget, &q.tasks)?;
             if self.cores[ci].task.is_some() {
                 // Budget expired mid-task: back into the lane's queue.
-                self.lanes.schedule(cluster.0 as usize, *t, core_idx);
+                self.lanes[cluster.0 as usize].schedule(*t, core_idx);
                 return Ok(());
             }
         }

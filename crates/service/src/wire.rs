@@ -25,6 +25,8 @@
 
 use std::io::{self, Read, Write};
 
+pub use cohesion_sim::metrics::json_escape;
+
 /// The protocol version this build speaks. Version negotiation: the
 /// client's `hello` lists every version it supports; the server picks the
 /// highest it also supports and echoes it in `hello-ack`, or answers
@@ -304,23 +306,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     r.read_exact(&mut payload).map_err(FrameError::Io)?;
     let payload = String::from_utf8(payload).map_err(|_| FrameError::BadUtf8)?;
     Ok(Frame { msg, payload })
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builds an [`MsgType::Error`] payload.

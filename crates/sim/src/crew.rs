@@ -23,11 +23,11 @@
 //!   participant waiting for either spins for at most `SPIN` (100 µs) of
 //!   wall clock and then parks; the other side wakes it only if it
 //!   actually parked. The spin covers the serial gap between two windows
-//!   (phase B and the next drain: microseconds), where parking would cost
-//!   a futex call on each side and, on a virtual machine, the wake-up of
-//!   an idle vCPU — as much as the window's work. The bound keeps an idle
-//!   crew (between phases, after the run, or while phase B runs long)
-//!   from holding a host core for longer than that at a time.
+//!   (phase B and the next window's set-up: microseconds), where parking
+//!   would cost a futex call on each side and, on a virtual machine, the
+//!   wake-up of an idle vCPU — as much as the window's work. The bound
+//!   keeps an idle crew (between phases, after the run, or while phase B
+//!   runs long) from holding a host core for longer than that at a time.
 //!
 //! Items borrow caller state (lane slices of the machine, lane event
 //! queues), so they are not `'static`: the crew erases the batch's

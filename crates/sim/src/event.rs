@@ -1,4 +1,4 @@
-//! Deterministic event wheel.
+//! Deterministic event queue.
 //!
 //! The simulator advances by popping the earliest pending event rather than
 //! ticking every component every cycle: a blocked core costs nothing until
@@ -6,49 +6,24 @@
 //! delivered in insertion order, which keeps the whole simulation
 //! deterministic without any per-component tie-break logic.
 //!
-//! # Implementation: hierarchical bucketed timing wheel
+//! # Implementation: binary heap
 //!
-//! Almost every event a cycle-level machine schedules lands within a few
-//! hundred cycles of the present (cache hits, link hops, DRAM round trips,
-//! scheduling quanta), so the queue is a classic two-level timing wheel
-//! rather than a binary heap:
-//!
-//! * **Wheel** — 256 (`WHEEL_SLOTS`) buckets cover the cycles in
-//!   `[base, base + WHEEL_SLOTS)`. An event due at cycle `at` in that window
-//!   lives in bucket `at % WHEEL_SLOTS`; because the window is exactly one
-//!   lap wide, every bucket holds events of a *single* cycle. A per-word
-//!   occupancy bitmap makes "find the next non-empty bucket" a handful of
-//!   `trailing_zeros` scans, so schedule and pop are O(1) instead of the
-//!   heap's O(log n) sift.
-//! * **Overflow heap** — events due at or beyond `base + WHEEL_SLOTS` wait in
-//!   a `BinaryHeap` ordered by `(cycle, seq)`. They are *promoted* into the
-//!   wheel when the window reaches them: whenever the wheel drains empty, the
-//!   window re-bases onto the overflow's earliest cycle and every overflow
-//!   event inside the new window moves to its bucket.
+//! The queue is a [`BinaryHeap`] ordered by `(cycle, seq)`, where `seq` is
+//! the queue's schedule counter. The sharded engine keeps one queue per
+//! cluster lane, and a lane holds one wake-up per waiting core — eight at
+//! the paper's cluster size — so an O(log n) sift over a handful of
+//! entries is all the structure the traffic needs.
 //!
 //! # Determinism contract
 //!
-//! Pop order is exactly ascending `(cycle, seq)`, where `seq` is the global
-//! schedule counter — identical to the binary-heap implementation this
-//! replaced, so simulator output is byte-for-byte unchanged. Buckets keep
-//! their events sorted by `seq`: direct schedules always append in
-//! increasing `seq`, and a promotion that lands in a bucket already holding
-//! later-scheduled events for the same cycle is spliced in by binary search.
-//! The clock never moves backwards: scheduling before `now()` panics, and
-//! all pending events are always at or after `now()`.
+//! Pop order is exactly ascending `(cycle, seq)`. The clock never moves
+//! backwards: scheduling before `now()` panics, and all pending events are
+//! always at or after `now()`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
-
-/// Number of buckets in the near-future wheel (one simulated cycle per
-/// bucket; must be a power of two). 256 cycles comfortably covers the
-/// longest single-hop latency in the machine model, so overflow promotion
-/// is rare.
-const WHEEL_SLOTS: usize = 256;
-const WHEEL_MASK: Cycle = WHEEL_SLOTS as Cycle - 1;
-const OCC_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// A pending event: delivery cycle, FIFO sequence number, payload.
 #[derive(Debug, Clone)]
@@ -87,23 +62,11 @@ impl<E> Ord for Pending<E> {
 /// A deterministic priority queue of simulation events.
 ///
 /// Events pop in `(cycle, insertion order)` order. See the crate-level
-/// example for typical use, and the module docs for the timing-wheel
-/// design and determinism contract.
+/// example for typical use, and the module docs for the determinism
+/// contract.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Near-future buckets; bucket `s` holds events for the single cycle
-    /// in `[base, base + WHEEL_SLOTS)` congruent to `s` mod `WHEEL_SLOTS`,
-    /// kept sorted by `seq`.
-    slots: Vec<VecDeque<Pending<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupancy: [u64; OCC_WORDS],
-    /// Total events currently in the wheel (not counting the overflow).
-    wheel_len: usize,
-    /// Start of the wheel's cycle window. Only moves forward, and only
-    /// re-bases while the wheel is empty.
-    base: Cycle,
-    /// Far-future events (`at >= base + WHEEL_SLOTS`), ordered `(at, seq)`.
-    overflow: BinaryHeap<Pending<E>>,
+    heap: BinaryHeap<Pending<E>>,
     next_seq: u64,
     now: Cycle,
     max_pending: usize,
@@ -119,11 +82,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
-            occupancy: [0; OCC_WORDS],
-            wheel_len: 0,
-            base: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: 0,
             max_pending: 0,
@@ -144,32 +103,13 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let p = Pending { at, seq, payload };
-        if at - self.base < WHEEL_SLOTS as Cycle {
-            self.push_wheel(p);
-        } else {
-            self.overflow.push(p);
-        }
-        let pending = self.wheel_len + self.overflow.len();
-        self.max_pending = self.max_pending.max(pending);
+        self.heap.push(Pending { at, seq, payload });
+        self.max_pending = self.max_pending.max(self.heap.len());
     }
 
     /// Pops the earliest pending event, advancing the clock to its cycle.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.wheel_len == 0 {
-            // The wheel drained; re-base its window onto the overflow's
-            // earliest cycle (if any) and promote what now fits.
-            let at = self.overflow.peek()?.at;
-            self.base = at;
-            self.promote();
-        }
-        let s = self.next_occupied_slot();
-        let bucket = &mut self.slots[s];
-        let p = bucket.pop_front().expect("occupancy bit set on empty bucket");
-        if bucket.is_empty() {
-            self.occupancy[s >> 6] &= !(1u64 << (s & 63));
-        }
-        self.wheel_len -= 1;
+        let p = self.heap.pop()?;
         debug_assert!(p.at >= self.now);
         self.now = p.at;
         Some((p.at, p.payload))
@@ -182,23 +122,17 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// The delivery cycle of the next pending event, if any.
     pub fn peek_cycle(&self) -> Option<Cycle> {
-        // Wheel events always precede overflow events: the overflow holds
-        // only cycles at or beyond the wheel's window.
-        if self.wheel_len > 0 {
-            let s = self.next_occupied_slot();
-            return self.slots[s].front().map(|p| p.at);
-        }
-        self.overflow.peek().map(|p| p.at)
+        self.heap.peek().map(|p| p.at)
     }
 
     /// Total events ever scheduled on this queue (the sequence counter —
@@ -208,66 +142,9 @@ impl<E> EventQueue<E> {
     }
 
     /// High-water mark of simultaneously pending events — how full the
-    /// event wheel ever got.
+    /// queue ever got.
     pub fn max_pending(&self) -> usize {
         self.max_pending
-    }
-
-    /// Inserts an event whose cycle fits the wheel window, keeping its
-    /// bucket sorted by `seq`.
-    fn push_wheel(&mut self, p: Pending<E>) {
-        debug_assert!(p.at >= self.base && p.at - self.base < WHEEL_SLOTS as Cycle);
-        let s = (p.at & WHEEL_MASK) as usize;
-        let bucket = &mut self.slots[s];
-        debug_assert!(bucket.front().is_none_or(|q| q.at == p.at));
-        match bucket.back() {
-            // Promotion of an overflow event into a bucket that already
-            // holds later-scheduled events for the same cycle: splice it
-            // into `seq` position.
-            Some(last) if last.seq > p.seq => {
-                let pos = bucket
-                    .binary_search_by(|q| q.seq.cmp(&p.seq))
-                    .unwrap_err();
-                bucket.insert(pos, p);
-            }
-            _ => bucket.push_back(p),
-        }
-        self.occupancy[s >> 6] |= 1u64 << (s & 63);
-        self.wheel_len += 1;
-    }
-
-    /// Moves every overflow event inside the current window into the wheel.
-    fn promote(&mut self) {
-        let horizon = self.base + WHEEL_SLOTS as Cycle;
-        while let Some(p) = self.overflow.peek() {
-            if p.at >= horizon {
-                break;
-            }
-            let p = self.overflow.pop().expect("peeked event vanished");
-            self.push_wheel(p);
-        }
-    }
-
-    /// Index of the first non-empty bucket at or after `base`, scanning the
-    /// occupancy bitmap cyclically. Callers guarantee `wheel_len > 0`.
-    fn next_occupied_slot(&self) -> usize {
-        debug_assert!(self.wheel_len > 0);
-        let start = (self.base & WHEEL_MASK) as usize;
-        let w0 = start >> 6;
-        let high = self.occupancy[w0] & (!0u64 << (start & 63));
-        if high != 0 {
-            return (w0 << 6) + high.trailing_zeros() as usize;
-        }
-        for i in 1..OCC_WORDS {
-            let w = (w0 + i) % OCC_WORDS;
-            let bits = self.occupancy[w];
-            if bits != 0 {
-                return (w << 6) + bits.trailing_zeros() as usize;
-            }
-        }
-        let low = self.occupancy[w0] & !(!0u64 << (start & 63));
-        debug_assert!(low != 0, "wheel_len > 0 but no occupancy bit set");
-        (w0 << 6) + low.trailing_zeros() as usize
     }
 }
 
@@ -333,30 +210,29 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_overflow_and_promote() {
+    fn far_future_events_pop_after_near_ones() {
         let mut q = EventQueue::new();
-        // Far beyond the wheel window: lands in the overflow heap.
+        // Scheduled first, due long after the next one.
         q.schedule(10_000, 'z');
         q.schedule(5, 'a');
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_cycle(), Some(5));
         assert_eq!(q.pop(), Some((5, 'a')));
-        // Wheel empty → window jumps straight to the overflow's cycle.
+        // Nothing in between: the clock jumps straight to the far event.
         assert_eq!(q.peek_cycle(), Some(10_000));
         assert_eq!(q.pop(), Some((10_000, 'z')));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn promoted_events_keep_seq_order_within_a_cycle() {
+    fn early_scheduled_far_events_keep_seq_order_within_a_cycle() {
         let mut q = EventQueue::new();
-        // seq 0 goes to the overflow (cycle 300 is outside [0, 256)).
+        // seq 0 is scheduled for cycle 300 before the clock moves.
         q.schedule(300, 0u32);
         q.schedule(10, 1u32);
         assert_eq!(q.pop(), Some((10, 1)));
-        // After advancing, cycle 300 enters the (re-based) window; this
-        // direct schedule shares the bucket with the promoted seq-0 event
-        // only after promotion — FIFO by seq must still hold.
+        // After advancing, a direct schedule for the same cycle 300 must
+        // still pop after the earlier-scheduled seq-0 event.
         q.schedule(300, 2u32);
         assert_eq!(q.pop(), Some((300, 0)));
         assert_eq!(q.pop(), Some((300, 2)));
@@ -364,27 +240,27 @@ mod tests {
     }
 
     #[test]
-    fn window_boundary_cycles_route_correctly() {
+    fn cycles_congruent_mod_256_pop_in_cycle_order() {
         let mut q = EventQueue::new();
-        q.schedule(WHEEL_SLOTS as Cycle - 1, 'w'); // last wheel bucket
-        q.schedule(WHEEL_SLOTS as Cycle, 'o'); // first overflow cycle
-        q.schedule(0, 'n'); // shares bucket index with 'o' mod WHEEL_SLOTS
+        q.schedule(255, 'w');
+        q.schedule(256, 'o');
+        q.schedule(0, 'n'); // congruent to 'o' mod 256
         assert_eq!(q.pop(), Some((0, 'n')));
-        assert_eq!(q.pop(), Some((WHEEL_SLOTS as Cycle - 1, 'w')));
-        assert_eq!(q.pop(), Some((WHEEL_SLOTS as Cycle, 'o')));
+        assert_eq!(q.pop(), Some((255, 'w')));
+        assert_eq!(q.pop(), Some((256, 'o')));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn interleaved_schedule_and_pop_across_many_laps() {
-        // Drive the window through several laps with a mix of near and far
+    fn interleaved_schedule_and_pop_across_long_spans() {
+        // Drive the clock through several bursts with a mix of near and far
         // events and verify global (cycle, seq) order.
         let mut q = EventQueue::new();
         let mut expect: Vec<(Cycle, u32)> = Vec::new();
         let mut id = 0u32;
-        for lap in 0..10u64 {
+        for burst in 0..10u64 {
             for d in [0u64, 1, 63, 64, 255, 256, 257, 1000] {
-                let at = lap * 200 + d;
+                let at = burst * 200 + d;
                 if at >= q.now() {
                     q.schedule(at, id);
                     expect.push((at, id));

@@ -4,9 +4,8 @@
 //!
 //! This crate provides the timing substrate every other crate builds on:
 //!
-//! * [`event::EventQueue`] — a deterministic event wheel (bucketed timing
-//!   wheel keyed by cycle with a far-future overflow heap, FIFO-tiebroken
-//!   by insertion sequence).
+//! * [`event::EventQueue`] — a deterministic event queue (a binary heap
+//!   keyed by cycle, FIFO-tiebroken by insertion sequence).
 //! * [`link::Link`] and [`link::Throttle`] — bandwidth/latency models for
 //!   interconnect links and cache/directory ports.
 //! * [`msg::MessageClass`] — the eight-way message taxonomy plotted in
@@ -27,10 +26,11 @@
 //! configuration produce bit-identical statistics, which is what makes
 //! the paper's figures reproducible artifacts rather than noisy
 //! measurements. Parallel execution of one run is layered on top without
-//! weakening that: [`shard::LaneQueues`] partitions events into per-lane
-//! wheels drained in windows with a fixed canonical order, and [`crew::Crew`]
-//! supplies the worker threads — host parallelism is never observable in
-//! simulated results.
+//! weakening that: the executor keeps one [`event::EventQueue`] per lane,
+//! each lane pops its own events up to a shared window horizon, cross-lane
+//! work follows a fixed canonical order, and [`crew::Crew`] supplies the
+//! worker threads — host parallelism is never observable in simulated
+//! results.
 //!
 //! # Example
 //!
@@ -52,7 +52,6 @@ pub mod ids;
 pub mod link;
 pub mod metrics;
 pub mod msg;
-pub mod shard;
 pub mod slots;
 pub mod stats;
 pub mod timeline;

@@ -6,7 +6,6 @@ use cohesion_sim::crew::Crew;
 use cohesion_sim::event::EventQueue;
 use cohesion_sim::link::{Link, Throttle};
 use cohesion_sim::metrics::{Histogram, Registry, HISTOGRAM_BUCKETS};
-use cohesion_sim::shard::LaneQueues;
 use cohesion_sim::stats::TimeWeighted;
 use cohesion_sim::slots::SlotReserver;
 use cohesion_testkit::prop::{range, sample, vec_of, Runner};
@@ -41,11 +40,9 @@ fn event_queue_orders_and_conserves() {
         });
 }
 
-/// The timing wheel pops in exactly the same `(cycle, seq)` order as a
-/// reference binary-heap model, under random schedule/pop interleavings
-/// that include same-cycle FIFO bursts and far-future overflow events
-/// (cycle deltas well past the wheel window, so promotion and window
-/// re-basing are exercised).
+/// The queue pops in exactly the same `(cycle, seq)` order as a reference
+/// binary-heap model, under random schedule/pop interleavings that include
+/// same-cycle FIFO bursts and far-future events.
 #[test]
 fn event_queue_matches_binary_heap_model() {
     use std::cmp::Reverse;
@@ -53,7 +50,6 @@ fn event_queue_matches_binary_heap_model() {
 
     // One step of the interleaving: schedule a burst of events at
     // `now + delta` (burst > 1 exercises same-cycle FIFO), or pop a few.
-    // Deltas up to 4096 reach far past the 256-cycle wheel window.
     let step = (
         range(0u32..3),                          // 0,1: schedule  2: pop
         sample(&[0u64, 1, 7, 255, 256, 257, 300, 1000, 4096]),
@@ -62,128 +58,37 @@ fn event_queue_matches_binary_heap_model() {
     Runner::new("event_queue_matches_binary_heap_model")
         .cases(96)
         .run(&vec_of(step, 1..80), |steps| {
-            let mut wheel = EventQueue::new();
+            let mut queue = EventQueue::new();
             let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
             for (kind, delta, count) in steps {
                 if kind < 2 {
-                    let at = wheel.now() + delta;
+                    let at = queue.now() + delta;
                     for _ in 0..count {
-                        wheel.schedule(at, seq);
+                        queue.schedule(at, seq);
                         model.push(Reverse((at, seq)));
                         seq += 1;
                     }
                 } else {
                     for _ in 0..count {
-                        let got = wheel.pop();
+                        let got = queue.pop();
                         let want = model.pop().map(|Reverse((at, s))| (at, s));
-                        assert_eq!(got, want, "wheel diverged from heap model");
+                        assert_eq!(got, want, "queue diverged from heap model");
                     }
                 }
-                assert_eq!(wheel.len(), model.len());
+                assert_eq!(queue.len(), model.len());
                 assert_eq!(
-                    wheel.peek_cycle(),
+                    queue.peek_cycle(),
                     model.peek().map(|Reverse((at, _))| *at)
                 );
             }
             // Drain: every remaining event must match the model too.
             while let Some(Reverse((at, s))) = model.pop() {
-                assert_eq!(wheel.pop(), Some((at, s)));
+                assert_eq!(queue.pop(), Some((at, s)));
             }
-            assert_eq!(wheel.pop(), None);
-            assert_eq!(wheel.scheduled(), seq);
+            assert_eq!(queue.pop(), None);
+            assert_eq!(queue.scheduled(), seq);
         });
-}
-
-/// `LaneQueues::pop_window` against a reference model: each window's
-/// per-lane lists hold exactly the lane's pending events with
-/// `cycle < horizon`, in its `(cycle, insertion)` order, and merging the
-/// lists by `(cycle, lane, seq)` gives the model's canonical order —
-/// including same-cycle bursts across lanes and events landing exactly
-/// on the horizon (which must wait for the next window).
-#[test]
-fn lane_queues_match_per_lane_reference() {
-    // One step: schedule a burst into a lane at `now + delta` (deltas
-    // straddle the window boundary of 16), or drain one window.
-    let step = (
-        range(0u32..4),                    // 0..=2: schedule  3: drain
-        range(0usize..8),                  // lane (mod lane count)
-        sample(&[0u64, 1, 15, 16, 17, 48]), // delta vs window 16
-        range(1usize..5),                  // burst size
-    );
-    Runner::new("lane_queues_match_per_lane_reference")
-        .cases(96)
-        .run(
-            &(range(1usize..9), vec_of(step, 1..60)),
-            |(lanes, steps)| {
-                const WINDOW: u64 = 16;
-                let mut q = LaneQueues::new(lanes);
-                // Reference: per-lane sorted-stable pending lists.
-                let mut model: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
-                let mut payload = 0u32;
-                let mut lists: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
-                let mut drains = 0;
-                for (kind, lane, delta, burst) in steps {
-                    let lane = lane % lanes;
-                    if kind < 3 {
-                        // Schedule from the lane's own timeline.
-                        let at = q.lane_mut(lane).now() + delta;
-                        for _ in 0..burst {
-                            q.schedule(lane, at, payload);
-                            model[lane].push((at, payload));
-                            payload += 1;
-                        }
-                        model[lane].sort_by_key(|&(at, _)| at); // stable: FIFO kept
-                    } else if let Some(horizon) = q.pop_window(WINDOW, &mut lists) {
-                        drains += 1;
-                        let start = model
-                            .iter()
-                            .filter_map(|l| l.first().map(|&(at, _)| at))
-                            .min()
-                            .expect("queues non-empty");
-                        assert_eq!(horizon, start + WINDOW);
-                        // Expected: each lane's sub-horizon prefix.
-                        let want: Vec<Vec<(u64, u32)>> = model
-                            .iter_mut()
-                            .map(|l| {
-                                let cut = l.partition_point(|&(at, _)| at < horizon);
-                                l.drain(..cut).collect()
-                            })
-                            .collect();
-                        assert_eq!(lists, want, "window {drains} diverged from model");
-                        // Merged by `(cycle, lane, seq)`, the lists give a
-                        // time-ordered window, lanes in order within a cycle.
-                        let mut merged: Vec<(u64, usize, u32, u32)> = lists
-                            .iter()
-                            .enumerate()
-                            .flat_map(|(li, l)| {
-                                l.iter().enumerate().map(move |(seq, &(at, p))| (at, li, seq as u32, p))
-                            })
-                            .collect();
-                        merged.sort_unstable_by_key(|&(at, li, seq, _)| (at, li, seq));
-                        assert!(
-                            merged.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
-                            "window {drains}: canonical order is not time-then-lane"
-                        );
-                        for (li, l) in lists.iter().enumerate() {
-                            let projected: Vec<(u64, u32)> = merged
-                                .iter()
-                                .filter(|e| e.1 == li)
-                                .map(|&(at, _, _, p)| (at, p))
-                                .collect();
-                            assert_eq!(&projected, l, "window {drains}: lane {li} reordered by the merge");
-                        }
-                    } else {
-                        assert!(model.iter().all(|l| l.is_empty()));
-                    }
-                }
-                assert_eq!(
-                    q.len() as usize,
-                    model.iter().map(|l| l.len()).sum::<usize>(),
-                    "conservation after {drains} drains"
-                );
-            },
-        );
 }
 
 /// The sharded two-phase window discipline in miniature: a toy machine
@@ -241,10 +146,8 @@ fn toy_sharded_run(
         /// Per-core completed-step counters (host-thread-independent).
         done: &'a mut [u64],
         metrics: &'a mut Registry,
-        /// This lane's window events: `(cycle, core_payload)`.
-        events: &'a [(u64, u32)],
         /// Escalations for phase B: `(seq, cycle, core_payload)`, where
-        /// `seq` is the event's index in `events`.
+        /// `seq` is the event's index in the lane's pop order this window.
         out: &'a mut Vec<(u32, u64, u32)>,
     }
     /// An event escalates (touches the shared digest) 1 time in 4.
@@ -252,11 +155,11 @@ fn toy_sharded_run(
         toy_mix(0, cycle, payload as u64) % 4 == 0
     }
 
-    let mut q = LaneQueues::new(lanes);
-    for lane in 0..lanes {
+    let mut q: Vec<EventQueue<u32>> = (0..lanes).map(|_| EventQueue::new()).collect();
+    for (lane, queue) in q.iter_mut().enumerate() {
         for c in 0..cpl {
             // Same-cycle collisions across lanes by construction.
-            q.schedule(lane, (c as u64) % 3, (lane * cpl + c) as u32);
+            queue.schedule((c as u64) % 3, (lane * cpl + c) as u32);
         }
     }
     let mut lane_digests = vec![0u64; lanes];
@@ -264,44 +167,44 @@ fn toy_sharded_run(
     let mut registries: Vec<Registry> = (0..lanes).map(|_| Registry::armed(64)).collect();
     let mut shared = 0u64;
     let mut crew = (threads > 1).then(|| Crew::new(threads - 1));
-    let mut window: Vec<Vec<(u64, u32)>> = vec![Vec::new(); lanes];
     let mut halted: Vec<Vec<(u32, u64, u32)>> = vec![Vec::new(); lanes];
-    while q.pop_window(WINDOW, &mut window).is_some() {
-        // Phase A: lanes process their own events in pop order, touching
-        // only lane-local state; global events escalate with nothing
-        // mutated.
+    while let Some(start) = q.iter().filter_map(EventQueue::peek_cycle).min() {
+        let horizon = start + WINDOW;
+        // Phase A: lanes pop their own events up to the horizon, in pop
+        // order, touching only lane-local state; global events escalate
+        // with nothing mutated.
         let mut jobs: Vec<LaneJob<'_>> = q
-            .as_mut_slice()
             .iter_mut()
             .zip(lane_digests.iter_mut())
             .zip(done.chunks_mut(cpl))
             .zip(registries.iter_mut())
-            .zip(&window)
             .zip(&mut halted)
-            .map(|(((((queue, digest), done), metrics), events), out)| LaneJob {
+            .map(|((((queue, digest), done), metrics), out)| LaneJob {
                 queue,
                 digest,
                 done,
                 metrics,
-                events,
                 out,
             })
             .collect();
         let run_lane = |j: &mut LaneJob<'_>| {
-            for (seq, &(cycle, payload)) in j.events.iter().enumerate() {
+            let mut seq = 0;
+            while j.queue.peek_cycle().is_some_and(|c| c < horizon) {
+                let (cycle, payload) = j.queue.pop().expect("peeked");
                 if is_global(cycle, payload) {
-                    j.out.push((seq as u32, cycle, payload));
-                    continue;
+                    j.out.push((seq, cycle, payload));
+                } else {
+                    *j.digest = toy_mix(*j.digest, cycle, payload as u64);
+                    j.metrics.record_latency("toy/local", cycle % 97);
+                    let core = payload as usize % cpl;
+                    j.done[core] += 1;
+                    if j.done[core] < steps {
+                        let jit = jitter[(j.done[core] as usize + payload as usize) % jitter.len()];
+                        // On or just past the lookahead horizon.
+                        j.queue.schedule(cycle + WINDOW + jit, payload);
+                    }
                 }
-                *j.digest = toy_mix(*j.digest, cycle, payload as u64);
-                j.metrics.record_latency("toy/local", cycle % 97);
-                let core = payload as usize % cpl;
-                j.done[core] += 1;
-                if j.done[core] < steps {
-                    let jit = jitter[(j.done[core] as usize + payload as usize) % jitter.len()];
-                    // On or just past the lookahead horizon.
-                    j.queue.schedule(cycle + WINDOW + jit, payload);
-                }
+                seq += 1;
             }
         };
         match &mut crew {
@@ -324,7 +227,7 @@ fn toy_sharded_run(
             done[slot] += 1;
             if done[slot] < steps {
                 let jit = jitter[(done[slot] as usize + payload as usize) % jitter.len()];
-                q.schedule(lane, cycle + WINDOW + jit, payload);
+                q[lane].schedule(cycle + WINDOW + jit, payload);
             }
         }
     }
@@ -340,8 +243,8 @@ fn toy_sharded_run(
     (
         lane_digests,
         shared,
-        q.scheduled(),
-        q.max_pending() as u64,
+        q.iter().map(EventQueue::scheduled).sum(),
+        q.iter().map(EventQueue::max_pending).sum::<usize>() as u64,
         merged_metrics,
     )
 }
@@ -572,8 +475,8 @@ fn histogram_percentiles_are_monotone_and_bounded() {
 /// serial spine in a different global order than escalate-everything,
 /// so arbitration timing drifts by a handful of cycles, and a shifted
 /// eviction can butterfly into e.g. one more upgrade message — the same
-/// accepted drift the sharded engine introduced against the pure
-/// event-wheel machine (see `MachineConfig::lane_owned_l3`).
+/// accepted drift the sharded engine introduced against the pre-sharding
+/// serial machine (see `MachineConfig::lane_owned_l3`).
 #[test]
 fn lane_owned_l3_matches_escalate_and_replay() {
     use cohesion::config::{DesignPoint, MachineConfig};

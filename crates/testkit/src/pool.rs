@@ -19,10 +19,9 @@
 //! * [`WorkerPool`] is the *persistent* counterpart of [`run_jobs`]: a
 //!   long-lived pool with a bounded submission queue (backpressure is an
 //!   explicit [`SubmitError::Full`], never an unbounded buffer), panic
-//!   isolation per job, cooperative cancellation via [`CancelToken`], and
-//!   a graceful [`WorkerPool::drain`] that finishes queued work before
-//!   the threads exit. `cohesiond` schedules client-submitted simulation
-//!   jobs on it.
+//!   isolation per job, and a graceful [`WorkerPool::drain`] that
+//!   finishes queued work before the threads exit. `cohesiond` schedules
+//!   client-submitted simulation jobs on it.
 //!
 //! Jobs must be [`Send`] closures over [`Send`] inputs: the type system
 //! rejects jobs that smuggle shared mutable state, which is what keeps a
@@ -43,7 +42,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -188,43 +187,6 @@ where
 // ---------------------------------------------------------------------
 // Persistent pool: long-lived workers, bounded queue, graceful drain
 // ---------------------------------------------------------------------
-
-/// A cooperative cancellation flag shared between a job producer and the
-/// jobs it submitted.
-///
-/// Cancellation is *advisory*: a simulation that is already running is
-/// never interrupted mid-cycle (that would break determinism guarantees);
-/// instead, jobs check [`CancelToken::is_cancelled`] before starting
-/// expensive work and return early. Cloning the token shares the flag.
-///
-/// ```
-/// use cohesion_testkit::pool::CancelToken;
-///
-/// let t = CancelToken::new();
-/// let t2 = t.clone();
-/// assert!(!t2.is_cancelled());
-/// t.cancel();
-/// assert!(t2.is_cancelled());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken(Arc::new(AtomicBool::new(false)))
-    }
-
-    /// Sets the flag. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// Why [`WorkerPool::submit`] rejected a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -504,38 +466,6 @@ mod worker_pool_tests {
         }
         assert_eq!(pool.drain(), 100);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn cancel_token_shares_flag_across_clones() {
-        let t = CancelToken::new();
-        let clone = t.clone();
-        assert!(!t.is_cancelled());
-        clone.cancel();
-        assert!(t.is_cancelled());
-        t.cancel(); // idempotent
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn cancelled_jobs_can_skip_work() {
-        let pool = WorkerPool::new(2, 64);
-        let token = CancelToken::new();
-        let ran = Arc::new(AtomicUsize::new(0));
-        token.cancel();
-        for _ in 0..16 {
-            let token = token.clone();
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                if token.is_cancelled() {
-                    return;
-                }
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.drain();
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 }
 

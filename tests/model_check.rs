@@ -56,6 +56,35 @@ const OPS: &[Op] = &[
     Op::ToHwcc,
 ];
 
+/// Three-cluster op set (deeper sharing interleavings).
+const OPS3: &[Op] = &[
+    Op::Load { cluster: 0, word: 0 },
+    Op::Load { cluster: 1, word: 0 },
+    Op::Load { cluster: 2, word: 4 },
+    Op::Store { cluster: 0, word: 0 },
+    Op::Store { cluster: 1, word: 4 },
+    Op::Store { cluster: 2, word: 7 },
+    Op::Flush { cluster: 0 },
+    Op::Flush { cluster: 2 },
+    Op::Invalidate { cluster: 1 },
+    Op::ToSwcc,
+    Op::ToHwcc,
+];
+
+impl Op {
+    /// The cluster issuing a cached access; `None` for the atomic and the
+    /// transitions (issued by cluster 0's runtime, never cached).
+    fn cluster(self) -> Option<u32> {
+        match self {
+            Op::Load { cluster, .. }
+            | Op::Store { cluster, .. }
+            | Op::Flush { cluster }
+            | Op::Invalidate { cluster } => Some(cluster),
+            Op::Atomic { .. } | Op::ToSwcc | Op::ToHwcc => None,
+        }
+    }
+}
+
 #[derive(Clone)]
 struct State {
     machine: Machine,
@@ -63,14 +92,40 @@ struct State {
     reference: [u32; 8],
     /// Which cluster holds un-flushed SWcc dirt per word (race pruning).
     sw_dirty_by: [Option<u32>; 8],
-    /// Whether a cluster may hold a *stale* cached copy. Under the SWcc
-    /// contract a consumer must invalidate before reading; loads by a
-    /// maybe-stale cluster execute but are not value-asserted. Staleness
-    /// legally survives a SWcc⇒HWcc transition — §3.6: the system can
-    /// always force the transition "but the data values may not be safe".
-    maybe_stale: [bool; 2],
+    /// Per modelled cluster: whether it may hold a *stale* cached copy.
+    /// Under the SWcc contract a consumer must invalidate before reading;
+    /// loads by a maybe-stale cluster execute but are not value-asserted.
+    /// Staleness legally survives a SWcc⇒HWcc transition — §3.6: the
+    /// system can always force the transition "but the data values may not
+    /// be safe". One entry per cluster the op list names, not per machine
+    /// cluster: an unmodelled entry would split the dedup keys.
+    maybe_stale: Vec<bool>,
     t: u64,
     next_value: u32,
+}
+
+impl State {
+    /// The initial state on `machine` for a walk over `ops`.
+    fn new(machine: Machine, ops: &[Op]) -> Self {
+        let clusters = ops.iter().filter_map(|op| op.cluster()).max().map_or(0, |c| c + 1);
+        State {
+            machine,
+            reference: [0; 8],
+            sw_dirty_by: [None; 8],
+            maybe_stale: vec![false; clusters as usize],
+            t: 0,
+            next_value: 0,
+        }
+    }
+
+    /// Marks every modelled cluster but `cluster` as maybe-stale or not.
+    fn set_others_stale(&mut self, cluster: u32, stale: bool) {
+        for (i, st) in self.maybe_stale.iter_mut().enumerate() {
+            if i as u32 != cluster {
+                *st = stale;
+            }
+        }
+    }
 }
 
 /// Dedup key: the machine's full view of the line under test (and of the
@@ -103,10 +158,11 @@ struct Counts {
     deduped: u64,
 }
 
-fn small_machine(dp: DesignPoint) -> Machine {
-    let mut cfg = MachineConfig::scaled(16, dp);
-    cfg.l3_total_bytes = 128 * 1024; // keep clones cheap
-    let layout = Layout::new(&LayoutConfig::new(16));
+/// A booted machine built from `cfg`, with a small L3 to keep clones
+/// cheap.
+fn small_machine(mut cfg: MachineConfig) -> Machine {
+    cfg.l3_total_bytes = 128 * 1024;
+    let layout = Layout::new(&LayoutConfig::new(cfg.cores));
     let mut m = Machine::new(cfg, layout);
     m.boot();
     m
@@ -125,7 +181,7 @@ fn apply(state: &mut State, op: Op) -> bool {
     let core = |c: u32| CoreId(c * 8); // first core of each cluster
     match op {
         Op::Load { cluster, word } => {
-            // A load of a word dirty in the *other* cluster's SWcc copy is
+            // A load of a word dirty in *another* cluster's SWcc copy is
             // the race the contract forbids.
             if let Some(owner) = state.sw_dirty_by[word] {
                 if owner != cluster {
@@ -156,14 +212,14 @@ fn apply(state: &mut State, op: Op) -> bool {
                 // SWcc: other clusters' cached copies are now outdated
                 // until they invalidate.
                 state.sw_dirty_by[word] = Some(cluster);
-                state.maybe_stale[1 - cluster as usize] = true;
+                state.set_others_stale(cluster, true);
             } else {
                 // HWcc: ownership probes invalidated every other copy, so
                 // *they* will refetch current data — but if this cluster's
                 // own copy carried stale words into the HWcc domain
                 // (§3.6: "the data values may not be safe"), upgrading it
                 // does not clean them.
-                state.maybe_stale[1 - cluster as usize] = false;
+                state.set_others_stale(cluster, false);
             }
             state.t = t2 + 1;
         }
@@ -208,13 +264,9 @@ fn apply(state: &mut State, op: Op) -> bool {
                 .expect("no table address involved");
             assert_eq!(old, state.reference[word], "atomic read a stale value");
             state.reference[word] = old.wrapping_add(1);
-            if swcc {
-                // The atomic mutated the L3 behind any cached SWcc copies.
-                state.maybe_stale = [true; 2];
-            } else {
-                // The recall invalidated every cached copy.
-                state.maybe_stale = [false; 2];
-            }
+            // Under SWcc the atomic mutated the L3 behind any cached
+            // copies; under HWcc its recall invalidated every cached copy.
+            state.maybe_stale.fill(swcc);
             state.t = t2 + 1;
         }
         Op::ToSwcc | Op::ToHwcc => {
@@ -249,7 +301,7 @@ fn apply(state: &mut State, op: Op) -> bool {
                 Op::ToSwcc if was == cohesion_protocol::region::Domain::HWcc => {
                     // HWcc->SWcc invalidates every sharer (cases 2a/3a):
                     // no cached copies remain, so nobody is stale.
-                    state.maybe_stale = [false; 2];
+                    state.maybe_stale.fill(false);
                 }
                 _ => {}
             }
@@ -287,6 +339,7 @@ fn key_of(state: &State) -> Key {
 
 fn explore(
     state: &State,
+    ops: &[Op],
     depth: u32,
     counts: &mut Counts,
     visited: &mut HashMap<Key, u32>,
@@ -295,7 +348,7 @@ fn explore(
     if depth == 0 {
         return;
     }
-    for &op in OPS {
+    for &op in ops {
         let mut next = state.clone();
         path.push(op);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -329,25 +382,23 @@ fn explore(
                 visited.insert(key_of(&next), depth - 1);
             }
         }
-        explore(&next, depth - 1, counts, visited, path);
+        explore(&next, ops, depth - 1, counts, visited, path);
         path.pop();
     }
 }
 
+/// Walks every interleaving of `ops` on `machine` to `depth`.
+fn model_check(machine: Machine, ops: &[Op], depth: u32) -> Counts {
+    let mut counts = Counts::default();
+    let state = State::new(machine, ops);
+    explore(&state, ops, depth, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    counts
+}
+
 #[test]
 fn model_check_cohesion_protocol() {
-    let mut state = State {
-        machine: small_machine(DesignPoint::cohesion(256, 64)),
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 2],
-        t: 0,
-        next_value: 0,
-    };
-    // Seed the reference with the line's initial contents (zero).
-    state.machine.boot();
-    let mut counts = Counts::default();
-    explore(&state, 4, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let machine = small_machine(MachineConfig::scaled(16, DesignPoint::cohesion(256, 64)));
+    let counts = model_check(machine, OPS, 4);
     assert!(counts.checked > 1_000, "checked {} states", counts.checked);
     assert!(counts.deduped > 0, "dedup never fired");
     println!(
@@ -358,19 +409,11 @@ fn model_check_cohesion_protocol() {
 
 #[test]
 fn model_check_pure_hwcc() {
-    let state = State {
-        machine: small_machine(DesignPoint::hwcc_ideal()),
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 2],
-        t: 0,
-        next_value: 0,
-    };
-    let mut counts = Counts::default();
     // Transitions are meaningless under pure HWcc but harmless; explore
     // everything anyway. The pure-mode state graphs are small (transitions
     // change nothing), so dedup lets us go deeper than the hybrid walk.
-    explore(&state, 6, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let machine = small_machine(MachineConfig::scaled(16, DesignPoint::hwcc_ideal()));
+    let counts = model_check(machine, OPS, 6);
     assert!(counts.checked > 1_000, "checked {} states", counts.checked);
     assert!(counts.deduped > 0, "dedup never fired");
     println!(
@@ -381,16 +424,8 @@ fn model_check_pure_hwcc() {
 
 #[test]
 fn model_check_pure_swcc() {
-    let state = State {
-        machine: small_machine(DesignPoint::swcc()),
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 2],
-        t: 0,
-        next_value: 0,
-    };
-    let mut counts = Counts::default();
-    explore(&state, 6, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let machine = small_machine(MachineConfig::scaled(16, DesignPoint::swcc()));
+    let counts = model_check(machine, OPS, 6);
     assert!(counts.checked > 1_000, "checked {} states", counts.checked);
     assert!(counts.deduped > 0, "dedup never fired");
     println!(
@@ -405,17 +440,8 @@ fn model_check_pure_swcc() {
 #[test]
 #[ignore = "deep exploration; run explicitly"]
 fn model_check_cohesion_depth7() {
-    let mut state = State {
-        machine: small_machine(DesignPoint::cohesion(256, 64)),
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 2],
-        t: 0,
-        next_value: 0,
-    };
-    state.machine.boot();
-    let mut counts = Counts::default();
-    explore(&state, 7, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let machine = small_machine(MachineConfig::scaled(16, DesignPoint::cohesion(256, 64)));
+    let counts = model_check(machine, OPS, 7);
     assert!(counts.checked > 10_000, "checked {} states", counts.checked);
     assert!(counts.deduped > counts.checked / 2, "dedup barely fired");
     println!(
@@ -427,21 +453,8 @@ fn model_check_cohesion_depth7() {
 #[test]
 fn model_check_deeper_with_mesi_ablation() {
     let mut cfg = MachineConfig::scaled(16, DesignPoint::cohesion(256, 64));
-    cfg.l3_total_bytes = 128 * 1024;
     cfg.exclusive_state = true;
-    let layout = Layout::new(&LayoutConfig::new(16));
-    let mut m = Machine::new(cfg, layout);
-    m.boot();
-    let state = State {
-        machine: m,
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 2],
-        t: 0,
-        next_value: 0,
-    };
-    let mut counts = Counts::default();
-    explore(&state, 4, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let counts = model_check(small_machine(cfg), OPS, 4);
     assert!(counts.checked > 1_000);
     println!(
         "MESI ablation: {} transitions, {} deduped",
@@ -449,219 +462,11 @@ fn model_check_deeper_with_mesi_ablation() {
     );
 }
 
-/// Three-cluster op set (deeper sharing interleavings); depth 4.
-const OPS3: &[Op] = &[
-    Op::Load { cluster: 0, word: 0 },
-    Op::Load { cluster: 1, word: 0 },
-    Op::Load { cluster: 2, word: 4 },
-    Op::Store { cluster: 0, word: 0 },
-    Op::Store { cluster: 1, word: 4 },
-    Op::Store { cluster: 2, word: 7 },
-    Op::Flush { cluster: 0 },
-    Op::Flush { cluster: 2 },
-    Op::Invalidate { cluster: 1 },
-    Op::ToSwcc,
-    Op::ToHwcc,
-];
-
-fn key_of3(state: &State3) -> Key {
-    Key {
-        digest: state
-            .machine
-            .line_state_digest(line_base(&state.machine).line()),
-        reference: state.reference,
-        sw_dirty_by: state.sw_dirty_by,
-        stale_mask: stale_mask(&state.maybe_stale),
-        next_value: state.next_value,
-    }
-}
-
-fn explore3(
-    state: &State3,
-    depth: u32,
-    counts: &mut Counts,
-    visited: &mut HashMap<Key, u32>,
-    path: &mut Vec<Op>,
-) {
-    if depth == 0 {
-        return;
-    }
-    for &op in OPS3 {
-        let mut next = state.clone();
-        path.push(op);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if !apply3(&mut next, op) {
-                return false;
-            }
-            check3(&next);
-            true
-        }));
-        match r {
-            Ok(false) => {
-                path.pop();
-                continue;
-            }
-            Ok(true) => {}
-            Err(e) => {
-                eprintln!("FAILING PATH (3 clusters): {path:?}");
-                std::panic::resume_unwind(e);
-            }
-        }
-        counts.checked += 1;
-        match visited.get(&key_of3(&next)) {
-            Some(&seen) if seen >= depth - 1 => {
-                counts.deduped += 1;
-                path.pop();
-                continue;
-            }
-            _ => {
-                visited.insert(key_of3(&next), depth - 1);
-            }
-        }
-        explore3(&next, depth - 1, counts, visited, path);
-        path.pop();
-    }
-}
-
-/// Three-cluster state: same model, wider staleness vector.
-#[derive(Clone)]
-struct State3 {
-    machine: Machine,
-    reference: [u32; 8],
-    sw_dirty_by: [Option<u32>; 8],
-    maybe_stale: [bool; 3],
-    t: u64,
-    next_value: u32,
-}
-
-fn apply3(state: &mut State3, op: Op) -> bool {
-    // Reuse the 2-cluster semantics with a widened staleness vector.
-    let base = line_base(&state.machine);
-    let line = base.line();
-    let m = &mut state.machine;
-    let core = |c: u32| CoreId(c * 8);
-    match op {
-        Op::Load { cluster, word } => {
-            if let Some(owner) = state.sw_dirty_by[word] {
-                if owner != cluster {
-                    return false;
-                }
-            }
-            let (t2, v) = m.load(core(cluster), base.offset(4 * word as u32), state.t);
-            if !state.maybe_stale[cluster as usize] {
-                assert_eq!(v, state.reference[word], "stale load (3c)");
-            }
-            state.t = t2 + 1;
-        }
-        Op::Store { cluster, word } => {
-            if let Some(owner) = state.sw_dirty_by[word] {
-                if owner != cluster {
-                    return false;
-                }
-            }
-            state.next_value += 1;
-            let v = state.next_value;
-            let swcc = m.domain_of(line) == cohesion_protocol::region::Domain::SWcc;
-            let t2 = m.store(core(cluster), base.offset(4 * word as u32), v, state.t);
-            state.reference[word] = v;
-            if swcc {
-                state.sw_dirty_by[word] = Some(cluster);
-                for (i, st) in state.maybe_stale.iter_mut().enumerate() {
-                    if i as u32 != cluster {
-                        *st = true;
-                    }
-                }
-            } else {
-                for (i, st) in state.maybe_stale.iter_mut().enumerate() {
-                    if i as u32 != cluster {
-                        *st = false;
-                    }
-                }
-            }
-            state.t = t2 + 1;
-        }
-        Op::Flush { cluster } => {
-            let t2 = m.flush(core(cluster), line, state.t);
-            for w in 0..8 {
-                if state.sw_dirty_by[w] == Some(cluster) {
-                    state.sw_dirty_by[w] = None;
-                }
-            }
-            state.t = t2 + 1;
-        }
-        Op::Invalidate { cluster } => {
-            if state.sw_dirty_by.contains(&Some(cluster)) {
-                return false;
-            }
-            let swcc = m.domain_of(line) == cohesion_protocol::region::Domain::SWcc;
-            let t2 = m.invalidate(core(cluster), line, state.t);
-            if swcc {
-                state.maybe_stale[cluster as usize] = false;
-            }
-            state.t = t2 + 1;
-        }
-        Op::Atomic { .. } => return false, // not in OPS3
-        Op::ToSwcc | Op::ToHwcc => {
-            if m.config().design.mode != cohesion_runtime::api::CohMode::Cohesion {
-                return false;
-            }
-            let was = m.domain_of(line);
-            let slot = m.fine_table().slot_of(line);
-            let (kind, operand) = match op {
-                Op::ToSwcc => (AtomicKind::Or, 1u32 << slot.bit),
-                _ => (AtomicKind::And, !(1u32 << slot.bit)),
-            };
-            let (t2, _) = m
-                .atomic(ClusterId(0), slot.word, kind, operand, state.t)
-                .expect("races were pruned");
-            match op {
-                Op::ToHwcc if was == cohesion_protocol::region::Domain::SWcc => {
-                    state.sw_dirty_by = [None; 8];
-                }
-                Op::ToSwcc if was == cohesion_protocol::region::Domain::HWcc => {
-                    state.maybe_stale = [false; 3];
-                }
-                _ => {}
-            }
-            state.t = t2 + 1;
-        }
-    }
-    true
-}
-
-fn check3(state: &State3) {
-    state.machine.check_invariants();
-    let mut drained = state.machine.clone();
-    drained.drain_for_verification();
-    let base = line_base(&state.machine);
-    for w in 0..8 {
-        assert_eq!(
-            drained.mem.read_word(base.offset(4 * w as u32)),
-            state.reference[w],
-            "drained word {w} disagrees (3 clusters)"
-        );
-    }
-}
-
+/// Three modelled clusters on a 32-core (four-cluster) machine; depth 4.
 #[test]
 fn model_check_three_clusters() {
-    let mut cfg = MachineConfig::scaled(32, DesignPoint::cohesion(256, 64));
-    cfg.l3_total_bytes = 128 * 1024;
-    let layout = cohesion_runtime::layout::Layout::new(
-        &cohesion_runtime::layout::LayoutConfig::new(32),
-    );
-    let mut m = Machine::new(cfg, layout);
-    m.boot();
-    let state = State3 {
-        machine: m,
-        reference: [0; 8],
-        sw_dirty_by: [None; 8],
-        maybe_stale: [false; 3],
-        t: 0,
-        next_value: 0,
-    };
-    let mut counts = Counts::default();
-    explore3(&state, 4, &mut counts, &mut HashMap::new(), &mut Vec::new());
+    let cfg = MachineConfig::scaled(32, DesignPoint::cohesion(256, 64));
+    let counts = model_check(small_machine(cfg), OPS3, 4);
     assert!(counts.checked > 2_000, "checked {} states", counts.checked);
     assert!(counts.deduped > 0, "dedup never fired (3 clusters)");
     println!(
