@@ -67,9 +67,9 @@ pub struct Options {
     /// is byte-identical to a run without tracing.
     pub trace_out: Option<String>,
     /// The cache line whose protocol events the timeline records
-    /// (`COHESION_WATCH`, a hexadecimal byte address; default none).
-    /// Only `--trace-out` runs record them, and watching never changes
-    /// a simulated result.
+    /// (`--watch ADDR`, a hexadecimal byte address; default none). Only
+    /// `--trace-out` runs record them, and watching never changes a
+    /// simulated result.
     pub watch: Option<LineAddr>,
 }
 
@@ -84,25 +84,12 @@ impl Default for Options {
             seed: 0,
             metrics_out: None,
             trace_out: None,
-            watch: default_watch(),
+            watch: None,
         }
     }
 }
 
-/// Default watched line: the line holding the `COHESION_WATCH` byte
-/// address, when set. An unparsable value is reported and ignored.
-fn default_watch() -> Option<LineAddr> {
-    let raw = std::env::var("COHESION_WATCH").ok()?;
-    match parse_watch(&raw) {
-        Ok(addr) => Some(Addr(addr).line()),
-        Err(e) => {
-            eprintln!("COHESION_WATCH ignored: {e}");
-            None
-        }
-    }
-}
-
-/// Parses a `COHESION_WATCH` value: a hexadecimal byte address, with or
+/// Parses a `--watch` value: a hexadecimal byte address, with or
 /// without a leading `0x`/`0X` prefix.
 fn parse_watch(raw: &str) -> Result<u32, String> {
     let v = raw.trim();
@@ -114,7 +101,7 @@ fn parse_watch(raw: &str) -> Result<u32, String> {
         format!(
             "cannot parse {raw:?} as a watch address; accepted formats are \
              hexadecimal byte addresses with or without a 0x prefix \
-             (e.g. COHESION_WATCH=0x40001080 or COHESION_WATCH=40001080)"
+             (e.g. --watch 0x40001080 or --watch 40001080)"
         )
     })
 }
@@ -130,9 +117,10 @@ fn parse_shards(v: &str) -> Option<u32> {
 
 impl Options {
     /// Parses `--cores N`, `--scale tiny|small|medium`, `--kernels a,b,c`,
-    /// `--jobs N`, `--shards N` from the process arguments; exits with a
-    /// usage message on errors (including kernel names not in
-    /// [`KERNEL_NAMES`]).
+    /// `--jobs N`, `--shards N`, `--seed N`, `--metrics-out FILE`,
+    /// `--trace-out FILE` and `--watch ADDR` from the process arguments;
+    /// exits with a usage message on errors (including kernel names not
+    /// in [`KERNEL_NAMES`] and unparsable watch addresses).
     pub fn from_args() -> Self {
         let mut opts = Options::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -200,6 +188,14 @@ impl Options {
                             .unwrap_or_else(|| usage("--trace-out needs a file path"))
                             .clone(),
                     );
+                }
+                "--watch" => {
+                    i += 1;
+                    let raw = args
+                        .get(i)
+                        .unwrap_or_else(|| usage("--watch needs a byte address"));
+                    let addr = parse_watch(raw).unwrap_or_else(|e| usage(&e));
+                    opts.watch = Some(Addr(addr).line());
                 }
                 "--part" | "--out" | "--csv" | "--from" => {
                     // consumed by fig9 / all_figures / profile separately;
@@ -543,42 +539,24 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: [--cores N] [--scale tiny|small|medium] [--kernels a,b,c] \
          [--jobs N] [--shards N|auto] [--seed N] [--metrics-out FILE] \
-         [--trace-out FILE] [--part a|b|c] [--out PATH] [--csv DIR]"
+         [--trace-out FILE] [--watch ADDR] [--part a|b|c] [--out PATH] [--csv DIR]"
     );
     std::process::exit(2)
 }
 
-/// Runs one kernel under one design point, panicking (with context) if the
-/// run fails verification — a figure built on wrong data is worse than no
-/// figure.
+/// Runs one kernel under one design point and records its telemetry
+/// snapshot (if armed) in the metrics sink, panicking (with context) if
+/// the run fails verification — a figure built on wrong data is worse
+/// than no figure.
 pub fn run(opts: &Options, kernel: &str, dp: DesignPoint) -> RunReport {
-    match try_run(opts, kernel, dp) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs one kernel under one design point, returning the failure as a
-/// value instead of panicking — the variant `cohesiond` uses, where a
-/// client's bad request must become a structured wire error, not a dead
-/// worker.
-///
-/// On success the report's telemetry snapshot (if armed) is recorded in
-/// the metrics sink exactly as [`run`] would record it.
-///
-/// # Errors
-///
-/// A human-readable description of the failed run (golden-verification
-/// mismatch, machine error, ...).
-pub fn try_run(opts: &Options, kernel: &str, dp: DesignPoint) -> Result<RunReport, String> {
     let cfg = opts.config(dp);
     let mut wl = cohesion_kernels::kernel_by_name_seeded(kernel, opts.scale, opts.seed);
     match run_workload(&cfg, wl.as_mut()) {
         Ok(r) => {
             record_metrics(format!("{kernel} @ {}", design_label(dp)), &r);
-            Ok(r)
+            r
         }
-        Err(e) => Err(format!("{kernel} under {dp:?} failed: {e}")),
+        Err(e) => panic!("{kernel} under {dp:?} failed: {e}"),
     }
 }
 

@@ -57,14 +57,9 @@ impl DirectoryVariant {
                 tracking: SharerTracking::dir4b(),
                 clusters,
             }),
-            DirectoryVariant::FullyAssociative { entries } => Some(DirectoryConfig {
-                capacity: DirCapacity::Finite {
-                    entries,
-                    ways: entries,
-                },
-                tracking: SharerTracking::FullMap,
-                clusters,
-            }),
+            DirectoryVariant::FullyAssociative { entries } => {
+                Some(DirectoryConfig::fully_associative(entries, clusters))
+            }
         }
     }
 }
@@ -170,7 +165,7 @@ impl Default for NocConfig {
 pub struct MachineConfig {
     /// Number of cores.
     pub cores: u32,
-    /// Cores per cluster (8 in the paper).
+    /// Cores per cluster (8 in the paper); a power of two.
     pub cores_per_cluster: u32,
     /// L1 instruction cache geometry (2 KB, 2-way).
     pub l1i: CacheConfig,

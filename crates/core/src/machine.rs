@@ -19,6 +19,19 @@
 //! per-word into the L3, the L3 spills to backing memory, and loads return
 //! whatever the hierarchy provides. Loads carrying a golden expectation
 //! detect stale data immediately.
+//!
+//! # Tiles
+//!
+//! The machine is stored as two kinds of tile. A cluster tile holds its
+//! cores' L1I/L1D, its L2 with the L2's port throttle, message and
+//! SWcc-instruction counters, and its lane's recorders (a metrics
+//! registry and a timeline). A bank tile holds one L3 bank, its port
+//! throttle, its collocated directory slice and its table cache.
+//! Everything else — the tree NoC, DRAM, backing memory, the region
+//! tables and profiler, the machine-wide recorders — is shared.
+//! [`Machine::lanes`] splits the machine into one [`LaneCtx`] per
+//! cluster tile: the tile, the bank tiles it owns under
+//! [`BankOwnership`], and its direct NoC links.
 
 use cohesion_mem::addr::{Addr, AddressMap, BankOwnership, LineAddr, WORDS_PER_LINE};
 use cohesion_mem::cache::{Cache, HwState};
@@ -37,7 +50,9 @@ use cohesion_sim::link::Throttle;
 use cohesion_sim::metrics::{Registry, Snapshot};
 use cohesion_sim::msg::MessageClass;
 use cohesion_sim::stats::{CoherenceInstrStats, MessageCounts};
-use cohesion_sim::timeline::{EscalationCause, LineEvent};
+use cohesion_sim::timeline::{
+    EscalationCause, LineEvent, Timeline, TimelineSnapshot, Track, DEFAULT_CAPACITY,
+};
 use cohesion_sim::Cycle;
 
 use crate::access::{self, Access, Guard, Stop};
@@ -96,6 +111,44 @@ pub struct ProcessCtx {
     fine: FineTable,
 }
 
+/// One cluster tile: its cores' L1s, its L2 with the L2's port throttle
+/// and output counters, and the recorders its lane writes in phase A.
+#[derive(Debug, Clone)]
+struct Cluster {
+    /// The cores' instruction L1s, by core index within the cluster.
+    l1i: Vec<Cache>,
+    /// The cores' data L1s, same order.
+    l1d: Vec<Cache>,
+    l2: Cache,
+    l2_port: Throttle,
+    /// L2 output messages, by class.
+    msgs: MessageCounts,
+    instr_stats: CoherenceInstrStats,
+    /// What the lane's operations record in phase A, merged into the
+    /// machine registry in cluster order at the end of the run
+    /// ([`Machine::absorb_lane_metrics`]). Counter and histogram merges
+    /// are commutative, so the fold order cannot be observed.
+    metrics: Registry,
+    /// The lane's track: phase A spans, escalations and watched-line
+    /// events, drained into the machine recorder in cluster order after
+    /// every window ([`Machine::absorb_lane_timelines`]).
+    timeline: Timeline,
+}
+
+/// One L3 bank tile: the bank, its port throttle, its collocated
+/// directory slice and its table cache.
+#[derive(Debug, Clone)]
+struct Bank {
+    l3: Cache,
+    port: Throttle,
+    /// `None` at the SWcc design point, which has no directory.
+    dir: Option<DirectoryBank>,
+    /// Optional dedicated fine-grain-table cache (§3.4 suggests the
+    /// dense table is "amenable to on-die caching"; `None` = the paper's
+    /// base design, caching table lines in the L3 itself).
+    table_cache: Option<Cache>,
+}
+
 /// The assembled machine.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -106,23 +159,8 @@ pub struct Machine {
     /// Backing memory (holds real data, including the fine-grain table).
     pub mem: MainMemory,
 
-    // Per-core L1s.
-    l1i: Vec<Cache>,
-    l1d: Vec<Cache>,
-    // Per-cluster L2s.
-    l2: Vec<Cache>,
-    l2_ports: Vec<Throttle>,
-    l2_msgs: Vec<MessageCounts>,
-    instr_stats: Vec<CoherenceInstrStats>,
-    // Per-bank L3 + directory.
-    l3: Vec<Cache>,
-    l3_ports: Vec<Throttle>,
-    dirs: Option<Vec<DirectoryBank>>,
-    /// Optional dedicated fine-grain-table cache per bank (§3.4 suggests
-    /// the dense table is "amenable to on-die caching"; `None` = the
-    /// paper's base design, caching table lines in the L3 itself).
-    table_cache: Option<Vec<Cache>>,
-
+    clusters: Vec<Cluster>,
+    banks: Vec<Bank>,
     noc: Noc,
     dram: Dram,
 
@@ -136,7 +174,7 @@ pub struct Machine {
     /// Shard-epoch flight recorder, with the protocol events of the
     /// watched line. Disarmed (every record call a single branch) unless
     /// [`MachineConfig::timeline`] is set.
-    timeline: cohesion_sim::timeline::Timeline,
+    timeline: Timeline,
 }
 
 impl Machine {
@@ -150,9 +188,14 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the layouts' slices or tables overlap.
+    /// Panics if the layouts' slices or tables overlap, or if
+    /// `cores_per_cluster` is not a power of two.
     pub fn new_multi(cfg: MachineConfig, layouts: Vec<Layout>) -> Self {
         assert!(!layouts.is_empty(), "a machine needs at least one process");
+        assert!(
+            cfg.cores_per_cluster.is_power_of_two(),
+            "cores per cluster must be a power of two"
+        );
         for (i, a) in layouts.iter().enumerate() {
             for b in layouts.iter().skip(i + 1) {
                 assert!(
@@ -169,11 +212,26 @@ impl Machine {
         let map = cfg.address_map();
         let clusters = cfg.clusters();
         let mode = cfg.design.mode;
-        let dirs = cfg
-            .design
-            .directory
-            .to_config(clusters)
-            .map(|dc| (0..cfg.l3_banks).map(|_| DirectoryBank::new(dc)).collect());
+        let registry = || {
+            if cfg.metrics {
+                Registry::armed(METRICS_WINDOW)
+            } else {
+                Registry::disarmed()
+            }
+        };
+        let timeline = if cfg.timeline {
+            Timeline::armed(DEFAULT_CAPACITY, cfg.watch.map(|line| line.0))
+        } else {
+            Timeline::disarmed()
+        };
+        let l1s = |geometry| -> Vec<Cache> {
+            (0..cfg.cores_per_cluster)
+                .map(|_| Cache::new(geometry))
+                .collect()
+        };
+        let dir = cfg.design.directory.to_config(clusters);
+        let table_cache = (cfg.table_cache_bytes > 0 && mode == CohMode::Cohesion)
+            .then(|| cohesion_mem::cache::CacheConfig::new(cfg.table_cache_bytes, 4));
         let processes = layouts
             .into_iter()
             .map(|layout| {
@@ -195,67 +253,97 @@ impl Machine {
             map,
             processes,
             mem: MainMemory::new(),
-            l1i: (0..cfg.cores).map(|_| Cache::new(cfg.l1i)).collect(),
-            l1d: (0..cfg.cores).map(|_| Cache::new(cfg.l1d)).collect(),
-            l2: (0..clusters).map(|_| Cache::new(cfg.l2)).collect(),
-            l2_ports: (0..clusters).map(|_| Throttle::new(cfg.l2_ports)).collect(),
-            l2_msgs: (0..clusters).map(|_| MessageCounts::new()).collect(),
-            instr_stats: (0..clusters).map(|_| CoherenceInstrStats::new()).collect(),
-            l3: (0..cfg.l3_banks)
-                .map(|_| Cache::new(cfg.l3_bank_cache()))
+            clusters: (0..clusters)
+                .map(|c| Cluster {
+                    l1i: l1s(cfg.l1i),
+                    l1d: l1s(cfg.l1d),
+                    l2: Cache::new(cfg.l2),
+                    l2_port: Throttle::new(cfg.l2_ports),
+                    msgs: MessageCounts::new(),
+                    instr_stats: CoherenceInstrStats::new(),
+                    metrics: registry(),
+                    timeline: timeline.child(Track::Lane(c), usize::MAX),
+                })
                 .collect(),
-            l3_ports: (0..cfg.l3_banks).map(|_| Throttle::new(cfg.l3_ports)).collect(),
-            dirs,
-            table_cache: if cfg.table_cache_bytes > 0 && mode == CohMode::Cohesion {
-                Some(
-                    (0..cfg.l3_banks)
-                        .map(|_| Cache::new(cohesion_mem::cache::CacheConfig::new(cfg.table_cache_bytes, 4)))
-                        .collect(),
-                )
-            } else {
-                None
-            },
+            banks: (0..cfg.l3_banks)
+                .map(|_| Bank {
+                    l3: Cache::new(cfg.l3_bank_cache()),
+                    port: Throttle::new(cfg.l3_ports),
+                    dir: dir.map(DirectoryBank::new),
+                    table_cache: table_cache.map(Cache::new),
+                })
+                .collect(),
             noc: Noc::new(cfg.noc, clusters, cfg.l3_banks),
             dram: Dram::new(cfg.dram, map),
             races: Vec::new(),
             transitions_to_sw: 0,
             transitions_to_hw: 0,
             profiler: RegionProfiler::default(),
-            metrics: if cfg.metrics {
-                Registry::armed(METRICS_WINDOW)
-            } else {
-                Registry::disarmed()
-            },
-            timeline: if cfg.timeline {
-                cohesion_sim::timeline::Timeline::armed(
-                    cohesion_sim::timeline::DEFAULT_CAPACITY,
-                    cfg.watch.map(|line| line.0),
-                )
-            } else {
-                cohesion_sim::timeline::Timeline::disarmed()
-            },
+            metrics: registry(),
+            timeline,
             cfg,
         }
     }
 
     /// The shard-epoch flight recorder (armed iff
     /// [`MachineConfig::timeline`] was set).
-    pub fn timeline(&self) -> &cohesion_sim::timeline::Timeline {
+    pub fn timeline(&self) -> &Timeline {
         &self.timeline
     }
 
     /// Mutable access to the flight recorder, for the run loop (window
-    /// accounting, lane/crew span absorption).
-    pub fn timeline_mut(&mut self) -> &mut cohesion_sim::timeline::Timeline {
+    /// accounting, crew span absorption).
+    pub fn timeline_mut(&mut self) -> &mut Timeline {
         &mut self.timeline
     }
 
     /// Freezes the flight recorder into a snapshot, or `None` when the
     /// timeline is disarmed. Pure read — never perturbs the simulation.
-    pub fn timeline_snapshot(&self) -> Option<cohesion_sim::timeline::TimelineSnapshot> {
+    pub fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
         self.timeline.snapshot()
     }
 
+    /// Drains every lane's timeline into the machine recorder, in
+    /// cluster order, so the main ring's drop sequence never depends on
+    /// host threads. The run loop calls it after every window's phase A.
+    pub fn absorb_lane_timelines(&mut self) {
+        if self.timeline.is_armed() {
+            for c in &mut self.clusters {
+                self.timeline.absorb(&mut c.timeline);
+            }
+        }
+    }
+
+    /// Folds every lane's metrics into the machine registry, in cluster
+    /// order, at the end of the run, and frees them.
+    pub fn absorb_lane_metrics(&mut self) {
+        for c in &mut self.clusters {
+            let lane = std::mem::replace(&mut c.metrics, Registry::disarmed());
+            self.metrics.merge_from(&lane);
+        }
+    }
+
+    /// The cluster tile of `core`, and the core's index within it. A
+    /// store snoops every sibling L1D through here, so the power-of-two
+    /// cluster size ([`Machine::new_multi`] asserts it) takes a shift and
+    /// a mask instead of a division.
+    fn core_slot(&self, core: CoreId) -> (usize, usize) {
+        let cpc = self.cfg.cores_per_cluster;
+        (
+            (core.0 >> cpc.trailing_zeros()) as usize,
+            (core.0 & (cpc - 1)) as usize,
+        )
+    }
+
+    /// The directory slices, in bank order (none at the SWcc point).
+    fn dirs(&self) -> impl Iterator<Item = &DirectoryBank> {
+        self.banks.iter().filter_map(|b| b.dir.as_ref())
+    }
+
+    /// The summed occupancy of every directory slice.
+    fn dir_occupancy(&self) -> u64 {
+        self.dirs().map(DirectoryBank::occupancy).sum()
+    }
 
     /// Boot-time table setup (§3.4/§3.5): the bootstrap core zeroes the
     /// fine-grain table (all HWcc) and the runtime then marks the incoherent
@@ -392,8 +480,7 @@ impl Machine {
         let old = data[w];
         let new = kind.apply(old, operand);
         let mask = 1u8 << w;
-        let b = bank.0 as usize;
-        if let Some(l) = self.l3[b].access(line) {
+        if let Some(l) = self.banks[bank.0 as usize].l3.access(line) {
             l.data[w] = new;
             l.valid_words |= mask;
             l.dirty_words |= mask;
@@ -420,16 +507,13 @@ impl Machine {
         access::note_msg(self, cluster, line, MessageClass::UncachedAtomic, t);
         let bank = access::bank_of(self, line);
         let t_arr = self.noc.request(cluster, bank, t);
-        let mut tb = self.l3_ports[bank.0 as usize].grant(t_arr) + self.cfg.l3_latency;
+        let mut tb = self.l3_port(bank).grant(t_arr) + self.cfg.l3_latency;
 
         // If the line is HWcc-cached anywhere, recall it first: the atomic
         // must operate on the latest value at the L3.
-        if self.dirs.is_some() {
-            let entry = self.dirs.as_mut().expect("present")[bank.0 as usize].remove(tb, line);
-            if let Some(e) = entry {
-                let done = access::directory_eviction(self, bank, line, e, tb);
-                tb = tb.max(done);
-            }
+        if let Some(e) = self.dir(bank).and_then(|d| d.remove(tb, line)) {
+            let done = access::directory_eviction(self, bank, line, e, tb);
+            tb = tb.max(done);
         }
 
         let (old, new) = self.l3_rmw(bank, addr, kind, operand, &mut tb);
@@ -483,7 +567,10 @@ impl Machine {
             Domain::SWcc => {
                 self.transitions_to_sw += 1;
                 let case = classify_hw_to_sw(
-                    self.dirs.as_ref().and_then(|d| d[bank.0 as usize].peek(line)),
+                    self.banks[bank.0 as usize]
+                        .dir
+                        .as_ref()
+                        .and_then(|d| d.peek(line)),
                     clusters,
                 );
                 self.metrics.inc(match case {
@@ -497,7 +584,7 @@ impl Machine {
                         for s in sharers {
                             done = done.max(access::probe(self, bank, s, line, true, false, t));
                         }
-                        self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
+                        self.dir(bank).expect("present").remove(t, line);
                     }
                     HwToSw::Case3aModified { owner } => {
                         let targets = match owner {
@@ -507,7 +594,7 @@ impl Machine {
                         for o in targets {
                             done = done.max(access::probe(self, bank, o, line, true, false, t));
                         }
-                        self.dirs.as_mut().expect("present")[bank.0 as usize].remove(t, line);
+                        self.dir(bank).expect("present").remove(t, line);
                     }
                 }
             }
@@ -519,7 +606,7 @@ impl Machine {
                 for c in 0..clusters {
                     let target = ClusterId(c);
                     let t_at_l2 = self.noc.reply(bank, target, t);
-                    let view = match self.l2[c as usize].peek(line) {
+                    let view = match self.clusters[c as usize].l2.peek(line) {
                         Some(l) if l.incoherent => L2View {
                             cluster: target,
                             valid_words: l.valid_words,
@@ -536,9 +623,7 @@ impl Machine {
                     t_views = t_views.max(self.noc.request(target, bank, t_at_l2));
                 }
                 done = done.max(t_views);
-                let tracking = self.dirs.as_ref().expect("present")[bank.0 as usize]
-                    .config()
-                    .tracking;
+                let tracking = self.dir(bank).expect("present").config().tracking;
                 let class = classify(&self.processes, line);
                 let case = classify_sw_to_hw(&views);
                 self.metrics.inc(match case {
@@ -556,7 +641,7 @@ impl Machine {
                             entry.sharers.add(s, tracking);
                         }
                         for s in sharers {
-                            let l = self.l2[s.0 as usize].peek_mut(line).expect("clean holder");
+                            let l = self.l2(s).peek_mut(line).expect("clean holder");
                             l.incoherent = false;
                             l.state = HwState::Shared;
                         }
@@ -566,7 +651,7 @@ impl Machine {
                         for r in readers {
                             done = done.max(access::probe(self, bank, r, line, true, true, t));
                         }
-                        let l = self.l2[owner.0 as usize].peek_mut(line).expect("owner");
+                        let l = self.l2(owner).peek_mut(line).expect("owner");
                         l.incoherent = false;
                         l.state = HwState::Modified;
                         let entry = DirEntry::modified(owner, tracking, clusters, class);
@@ -607,10 +692,7 @@ impl Machine {
                 },
                 done - t,
             );
-            let occ: u64 = self
-                .dirs
-                .as_ref()
-                .map_or(0, |d| d.iter().map(|b| b.occupancy()).sum());
+            let occ = self.dir_occupancy();
             self.metrics.sample_max("dir_occupancy", done, occ);
         }
         Ok(done)
@@ -623,8 +705,7 @@ impl Machine {
         entry: DirEntry,
         done: &mut Cycle,
     ) {
-        let victim =
-            self.dirs.as_mut().expect("present")[bank.0 as usize].insert(*done, line, entry);
+        let victim = self.dir(bank).expect("present").insert(*done, line, entry);
         if let Some((vline, ventry)) = victim {
             *done = (*done).max(access::directory_eviction(self, bank, vline, ventry, *done));
         }
@@ -643,9 +724,8 @@ impl Machine {
         mut done: Cycle,
     ) -> Cycle {
         for &wcl in writers {
-            let c = wcl.0 as usize;
             let t_at_l2 = self.noc.reply(bank, wcl, t);
-            if let Some(ev) = self.l2[c].invalidate(line) {
+            if let Some(ev) = self.l2(wcl).invalidate(line) {
                 access::l3_write_words(self, bank, line, &ev.data, ev.dirty_words, t_at_l2);
             }
             access::back_invalidate_l1(self, wcl, line);
@@ -668,7 +748,7 @@ impl Machine {
     ///
     /// Panics for an unknown cluster.
     pub fn messages_of(&self, cluster: ClusterId) -> &MessageCounts {
-        &self.l2_msgs[cluster.0 as usize]
+        &self.clusters[cluster.0 as usize].msgs
     }
 
     /// SWcc coherence-instruction counters of one cluster.
@@ -677,14 +757,14 @@ impl Machine {
     ///
     /// Panics for an unknown cluster.
     pub fn instr_stats_of(&self, cluster: ClusterId) -> &CoherenceInstrStats {
-        &self.instr_stats[cluster.0 as usize]
+        &self.clusters[cluster.0 as usize].instr_stats
     }
 
     /// Sum of all L2 output messages, by class.
     pub fn total_messages(&self) -> MessageCounts {
         let mut total = MessageCounts::new();
-        for m in &self.l2_msgs {
-            total.merge(m);
+        for c in &self.clusters {
+            total.merge(&c.msgs);
         }
         total
     }
@@ -692,8 +772,8 @@ impl Machine {
     /// Aggregate SWcc coherence-instruction usefulness counters.
     pub fn coherence_instr_stats(&self) -> CoherenceInstrStats {
         let mut total = CoherenceInstrStats::new();
-        for s in &self.instr_stats {
-            total.merge(s);
+        for c in &self.clusters {
+            total.merge(&c.instr_stats);
         }
         total
     }
@@ -704,13 +784,11 @@ impl Machine {
         let mut avg = 0.0;
         let mut max = 0;
         let mut by_class = [0.0; 3];
-        if let Some(dirs) = &self.dirs {
-            for d in dirs {
-                avg += d.average_occupancy(end);
-                max += d.max_occupancy();
-                for (i, class) in EntryClass::ALL.iter().enumerate() {
-                    by_class[i] += d.average_occupancy_of(*class, end);
-                }
+        for d in self.dirs() {
+            avg += d.average_occupancy(end);
+            max += d.max_occupancy();
+            for (i, class) in EntryClass::ALL.iter().enumerate() {
+                by_class[i] += d.average_occupancy_of(*class, end);
             }
         }
         (avg, max, by_class)
@@ -718,13 +796,10 @@ impl Machine {
 
     /// `(insertions, capacity evictions)` summed over directory banks.
     pub fn directory_churn(&self) -> (u64, u64) {
-        match &self.dirs {
-            Some(dirs) => dirs.iter().fold((0, 0), |(i, e), d| {
-                let (di, de) = d.churn();
-                (i + di, e + de)
-            }),
-            None => (0, 0),
-        }
+        self.dirs().fold((0, 0), |(i, e), d| {
+            let (di, de) = d.churn();
+            (i + di, e + de)
+        })
     }
 
     /// Detected case-5b races.
@@ -772,10 +847,7 @@ impl Machine {
         if self.metrics.is_armed() {
             let total = self.total_messages().total();
             self.metrics.mark("barrier/messages", now, total);
-            let occ: u64 = self
-                .dirs
-                .as_ref()
-                .map_or(0, |d| d.iter().map(|b| b.occupancy()).sum());
+            let occ = self.dir_occupancy();
             self.metrics.mark("barrier/dir_occupancy", now, occ);
         }
     }
@@ -808,16 +880,17 @@ impl Machine {
 
         // Per-cluster message breakdown (the Figure 2/8 taxonomy, but per
         // cluster instead of machine-wide).
-        for (c, m) in self.l2_msgs.iter().enumerate() {
-            s.push_counter(format!("cluster/{c:03}/messages_total"), m.total());
-            for (class, n) in m.iter() {
+        for (c, tile) in self.clusters.iter().enumerate() {
+            s.push_counter(format!("cluster/{c:03}/messages_total"), tile.msgs.total());
+            for (class, n) in tile.msgs.iter() {
                 if n > 0 {
                     s.push_counter(format!("cluster/{c:03}/messages/{}", class_slug(class)), n);
                 }
             }
-        }
-        for (c, p) in self.l2_ports.iter().enumerate() {
-            s.push_counter(format!("cluster/{c:03}/l2_port_grants"), p.grants());
+            s.push_counter(
+                format!("cluster/{c:03}/l2_port_grants"),
+                tile.l2_port.grants(),
+            );
         }
         let instr = self.coherence_instr_stats();
         s.push_counter("swcc/invalidations_issued", instr.invalidations_issued);
@@ -826,15 +899,13 @@ impl Machine {
         s.push_counter("swcc/writebacks_useful", instr.writebacks_useful);
 
         // Per-L3-bank occupancy/traffic breakdown.
-        for (b, l3) in self.l3.iter().enumerate() {
-            let (hits, misses, evictions) = l3.stats();
+        for (b, bank) in self.banks.iter().enumerate() {
+            let (hits, misses, evictions) = bank.l3.stats();
             s.push_counter(format!("bank/{b:03}/l3_hits"), hits);
             s.push_counter(format!("bank/{b:03}/l3_misses"), misses);
             s.push_counter(format!("bank/{b:03}/l3_evictions"), evictions);
-            s.push_counter(format!("bank/{b:03}/port_grants"), self.l3_ports[b].grants());
-        }
-        if let Some(dirs) = &self.dirs {
-            for (b, d) in dirs.iter().enumerate() {
+            s.push_counter(format!("bank/{b:03}/port_grants"), bank.port.grants());
+            if let Some(d) = &bank.dir {
                 s.push_gauge(format!("bank/{b:03}/dir_avg_occupancy"), d.average_occupancy(end));
                 s.push_counter(format!("bank/{b:03}/dir_max_occupancy"), d.max_occupancy());
                 let (ins, ev) = d.churn();
@@ -842,11 +913,9 @@ impl Machine {
                 s.push_counter(format!("bank/{b:03}/dir_evictions"), ev);
             }
         }
-        if let Some(tcs) = &self.table_cache {
-            let (hits, misses, evictions) = tcs.iter().fold((0, 0, 0), |(h, m, e), c| {
-                let (ch, cm, ce) = c.stats();
-                (h + ch, m + cm, e + ce)
-            });
+        if self.banks.iter().any(|b| b.table_cache.is_some()) {
+            let (hits, misses, evictions) =
+                sum_stats(self.banks.iter().filter_map(|b| b.table_cache.as_ref()));
             s.push_counter("table_cache/hits", hits);
             s.push_counter("table_cache/misses", misses);
             s.push_counter("table_cache/evictions", evictions);
@@ -876,18 +945,12 @@ impl Machine {
 
     /// Aggregate L3 `(hits, misses, evictions)`.
     pub fn l3_stats(&self) -> (u64, u64, u64) {
-        self.l3.iter().fold((0, 0, 0), |(h, m, e), c| {
-            let (ch, cm, ce) = c.stats();
-            (h + ch, m + cm, e + ce)
-        })
+        sum_stats(self.banks.iter().map(|b| &b.l3))
     }
 
     /// Aggregate L2 `(hits, misses, evictions)`.
     pub fn l2_stats(&self) -> (u64, u64, u64) {
-        self.l2.iter().fold((0, 0, 0), |(h, m, e), c| {
-            let (ch, cm, ce) = c.stats();
-            (h + ch, m + cm, e + ce)
-        })
+        sum_stats(self.clusters.iter().map(|c| &c.l2))
     }
 
     /// Flushes every dirty line in the L2s and L3s down to backing memory,
@@ -896,16 +959,9 @@ impl Machine {
     /// result.
     pub fn drain_for_verification(&mut self) {
         // L3 first (older data), then L2 (newest writes win).
-        for bank in &mut self.l3 {
-            for l in bank.iter_lines_mut() {
-                if l.dirty_words != 0 {
-                    self.mem.write_line_masked(l.addr, &l.data, l.dirty_words);
-                    l.clean();
-                }
-            }
-        }
-        for l2 in &mut self.l2 {
-            for l in l2.iter_lines_mut() {
+        let l3s = self.banks.iter_mut().map(|b| &mut b.l3);
+        for cache in l3s.chain(self.clusters.iter_mut().map(|c| &mut c.l2)) {
+            for l in cache.iter_lines_mut() {
                 if l.dirty_words != 0 {
                     self.mem.write_line_masked(l.addr, &l.data, l.dirty_words);
                     l.clean();
@@ -966,22 +1022,15 @@ impl Machine {
             }
         }
         (self.domain_of(line) == Domain::SWcc).hash(h);
-        for c in &self.l1d {
+        let l1ds = self.clusters.iter().flat_map(|c| &c.l1d);
+        let l2s = self.clusters.iter().map(|c| &c.l2);
+        let l3s = self.banks.iter().map(|b| &b.l3);
+        let table_caches = self.banks.iter().filter_map(|b| b.table_cache.as_ref());
+        for c in l1ds.chain(l2s).chain(l3s).chain(table_caches) {
             cache_view(c, line, h);
         }
-        for c in &self.l2 {
-            cache_view(c, line, h);
-        }
-        for c in &self.l3 {
-            cache_view(c, line, h);
-        }
-        if let Some(tcs) = &self.table_cache {
-            for c in tcs {
-                cache_view(c, line, h);
-            }
-        }
-        if let Some(dirs) = &self.dirs {
-            match dirs[self.map.bank_of(line) as usize].peek(line) {
+        if let Some(dir) = &self.banks[self.map.bank_of(line) as usize].dir {
+            match dir.peek(line) {
                 None => 0u8.hash(h),
                 Some(e) => {
                     1u8.hash(h);
@@ -1007,15 +1056,19 @@ impl Machine {
     /// Panics (with a description) on the first violated invariant. Intended
     /// for tests; O(total cached lines).
     pub fn check_invariants(&self) {
-        let Some(dirs) = &self.dirs else { return };
-        for (c, l2) in self.l2.iter().enumerate() {
-            for line in l2.iter_lines() {
+        if self.dirs().next().is_none() {
+            return;
+        }
+        for (c, tile) in self.clusters.iter().enumerate() {
+            for line in tile.l2.iter_lines() {
                 if line.incoherent {
                     continue;
                 }
                 let bank = self.map.bank_of(line.addr) as usize;
-                let entry = dirs[bank]
-                    .peek(line.addr)
+                let entry = self.banks[bank]
+                    .dir
+                    .as_ref()
+                    .and_then(|d| d.peek(line.addr))
                     .unwrap_or_else(|| panic!("HWcc line {} in {} untracked", line.addr, c));
                 assert!(
                     entry.sharers.may_contain(ClusterId(c as u32)),
@@ -1039,7 +1092,7 @@ impl Machine {
         // never be directory-tracked (transitions are serialized at the
         // home bank, so outside a transition this is exact).
         if self.cfg.design.mode == CohMode::Cohesion {
-            for d in dirs.iter() {
+            for d in self.dirs() {
                 for (line, _) in d.iter() {
                     assert_eq!(
                         self.domain_of(line),
@@ -1049,7 +1102,7 @@ impl Machine {
                 }
             }
         }
-        for (b, d) in dirs.iter().enumerate() {
+        for (b, d) in self.dirs().enumerate() {
             for (line, entry) in d.iter() {
                 if entry.state == DirState::Modified && !entry.sharers.is_broadcast() {
                     let holders = entry
@@ -1057,7 +1110,8 @@ impl Machine {
                         .probe_targets(self.cfg.clusters())
                         .into_iter()
                         .filter(|cl| {
-                            self.l2[cl.0 as usize]
+                            self.clusters[cl.0 as usize]
+                                .l2
                                 .peek(line)
                                 .map(|l| !l.incoherent)
                                 .unwrap_or(false)
@@ -1089,34 +1143,36 @@ impl Access for Machine {
         &self.mem
     }
     fn l1i(&mut self, core: CoreId) -> &mut Cache {
-        &mut self.l1i[core.0 as usize]
+        let (c, i) = self.core_slot(core);
+        &mut self.clusters[c].l1i[i]
     }
     fn l1d(&mut self, core: CoreId) -> &mut Cache {
-        &mut self.l1d[core.0 as usize]
+        let (c, i) = self.core_slot(core);
+        &mut self.clusters[c].l1d[i]
     }
     fn l2(&mut self, cluster: ClusterId) -> &mut Cache {
-        &mut self.l2[cluster.0 as usize]
+        &mut self.clusters[cluster.0 as usize].l2
     }
     fn l2_port(&mut self, cluster: ClusterId) -> &mut Throttle {
-        &mut self.l2_ports[cluster.0 as usize]
+        &mut self.clusters[cluster.0 as usize].l2_port
     }
     fn l2_msgs(&mut self, cluster: ClusterId) -> &mut MessageCounts {
-        &mut self.l2_msgs[cluster.0 as usize]
+        &mut self.clusters[cluster.0 as usize].msgs
     }
     fn instr_stats(&mut self, cluster: ClusterId) -> &mut CoherenceInstrStats {
-        &mut self.instr_stats[cluster.0 as usize]
+        &mut self.clusters[cluster.0 as usize].instr_stats
     }
     fn l3(&mut self, bank: BankId) -> &mut Cache {
-        &mut self.l3[bank.0 as usize]
+        &mut self.banks[bank.0 as usize].l3
     }
     fn l3_port(&mut self, bank: BankId) -> &mut Throttle {
-        &mut self.l3_ports[bank.0 as usize]
+        &mut self.banks[bank.0 as usize].port
     }
     fn dir(&mut self, bank: BankId) -> Option<&mut DirectoryBank> {
-        self.dirs.as_mut().map(|d| &mut d[bank.0 as usize])
+        self.banks[bank.0 as usize].dir.as_mut()
     }
     fn table_cache(&mut self, bank: BankId) -> Option<&mut Cache> {
-        self.table_cache.as_mut().map(|c| &mut c[bank.0 as usize])
+        self.banks[bank.0 as usize].table_cache.as_mut()
     }
     fn request(&mut self, cluster: ClusterId, bank: BankId, now: Cycle) -> Cycle {
         self.noc.request(cluster, bank, now)
@@ -1130,7 +1186,7 @@ impl Access for Machine {
         let svc = self.timeline.start();
         *t = self.dram.access(*t, line).max(*t);
         self.timeline.service("dram_service", svc, *t);
-        let (fresh, victim) = self.l3[bank.0 as usize].allocate(line);
+        let (fresh, victim) = self.l3(bank).allocate(line);
         fresh.fill_masked(&data, 0xff);
         // A dirty L3 victim spills to memory.
         if let Some(v) = victim.filter(|v| v.dirty_words != 0) {
@@ -1173,6 +1229,14 @@ impl Access for Machine {
     fn l3_serviced(&mut self, start: Option<u64>, issued: Cycle) {
         self.timeline.service("l3_service", start, issued);
     }
+}
+
+/// Sums `(hits, misses, evictions)` over `caches`.
+fn sum_stats<'a>(caches: impl Iterator<Item = &'a Cache>) -> (u64, u64, u64) {
+    caches.fold((0, 0, 0), |(h, m, e), c| {
+        let (ch, cm, ce) = c.stats();
+        (h + ch, m + cm, e + ce)
+    })
 }
 
 /// Unwraps the result of an operation the machine ran. The machine's
@@ -1245,29 +1309,14 @@ pub(crate) fn resolve_domain(
 // Sharded execution: per-cluster lanes
 // ----------------------------------------------------------------------
 
-/// Per-lane scratch state for the sharded executor: telemetry recorded
-/// off the serial thread by phase-A operations, folded back into the
-/// machine registry in lane order at the end of the run
-/// ([`Machine::absorb_lane_scratches`]).
-#[derive(Debug)]
-pub struct LaneScratch {
-    /// Lane-local metrics: everything the operations record while a
-    /// lane runs them. Counter and histogram merges are commutative, so
-    /// the fold order cannot be observed.
-    pub metrics: Registry,
-    /// Lane-local timeline buffer: phase A spans, escalation events and
-    /// watched-line events recorded off the serial thread, absorbed into
-    /// the machine recorder in fixed lane order after every window.
-    pub timeline: cohesion_sim::timeline::LaneTimeline,
-}
-
 /// One cluster's view of the machine, usable concurrently with the
 /// other lanes' views in phase A of the sharded executor.
 ///
-/// A lane reaches its cluster's L1s, L2, L2 port throttle and
-/// message/instruction counters, **the L3 banks it owns under the static
-/// [`BankOwnership`] partition** (with their directory slices, port
-/// throttles, table caches, and direct NoC links), and shared read-only
+/// A lane reaches its cluster tile (the cores' L1s, the L2, its port
+/// throttle, its message and instruction counters and its recorders),
+/// **the bank tiles it owns under the static [`BankOwnership`]
+/// partition** (each an L3 bank with its port throttle, directory slice
+/// and table cache) with their direct NoC links, and shared read-only
 /// configuration, region tables, and backing memory. The run loop drives
 /// the very operation bodies the [`Machine`] runs through a lane; the
 /// lane only adds a guard in front of each. The guard peeks at lane
@@ -1284,7 +1333,12 @@ pub struct LaneScratch {
 /// simulated state alone.
 #[derive(Debug)]
 pub struct LaneCtx<'a> {
-    cluster: ClusterId,
+    id: ClusterId,
+    cluster: &'a mut Cluster,
+    /// Owned bank tiles, in slot order (`BankOwnership::slot_of`).
+    banks: Vec<&'a mut Bank>,
+    /// Direct links between this lane's cluster and its owned banks.
+    noc: LaneNoc<'a>,
     cfg: &'a MachineConfig,
     map: AddressMap,
     ownership: BankOwnership,
@@ -1293,46 +1347,37 @@ pub struct LaneCtx<'a> {
     profiled: bool,
     processes: &'a [ProcessCtx],
     mem: &'a MainMemory,
-    l1i: &'a mut [Cache],
-    l1d: &'a mut [Cache],
-    l2: &'a mut Cache,
-    l2_ports: &'a mut Throttle,
-    l2_msgs: &'a mut MessageCounts,
-    instr_stats: &'a mut CoherenceInstrStats,
-    /// Owned L3 banks, in slot order (`BankOwnership::slot_of`).
-    l3: Vec<&'a mut Cache>,
-    /// Owned banks' port throttles, same slot order.
-    l3_ports: Vec<&'a mut Throttle>,
-    /// Owned directory slices (when the design has a directory).
-    dirs: Option<Vec<&'a mut DirectoryBank>>,
-    /// Owned banks' dedicated table caches (when configured).
-    table_cache: Option<Vec<&'a mut Cache>>,
-    /// Direct links between this lane's cluster and its owned banks.
-    noc: LaneNoc<'a>,
-    scratch: &'a mut LaneScratch,
 }
 
 impl LaneCtx<'_> {
     /// The cluster this lane simulates.
     pub fn cluster(&self) -> ClusterId {
-        self.cluster
+        self.id
     }
 
-    /// The lane's timeline buffer (phase A spans, escalation events).
-    pub fn timeline(&mut self) -> &mut cohesion_sim::timeline::LaneTimeline {
-        &mut self.scratch.timeline
+    /// The lane's timeline (phase A spans, escalation events).
+    pub fn timeline(&mut self) -> &mut Timeline {
+        &mut self.cluster.timeline
     }
 
-    /// Core index within this lane's L1 slices.
+    /// Core index within this lane's cluster tile.
     fn local(&self, core: CoreId) -> usize {
-        debug_assert_eq!(self.cluster, core.cluster(self.cfg.cores_per_cluster));
-        (core.0 - self.cluster.0 * self.cfg.cores_per_cluster) as usize
+        debug_assert_eq!(self.id, core.cluster(self.cfg.cores_per_cluster));
+        (core.0 - self.id.0 * self.cfg.cores_per_cluster) as usize
     }
 
-    /// The slot of an owned `bank` in this lane's banked state.
-    fn slot(&self, bank: BankId) -> usize {
-        debug_assert!(self.ownership.owns(self.cluster.0, bank.0), "lane reached an unowned bank");
-        self.ownership.slot_of(bank.0)
+    /// The owned bank tile of `bank`.
+    fn bank(&self, bank: u32) -> &Bank {
+        self.banks[self.ownership.slot_of(bank)]
+    }
+
+    /// The owned bank tile of `bank`, to act on.
+    fn bank_mut(&mut self, bank: BankId) -> &mut Bank {
+        debug_assert!(
+            self.ownership.owns(self.id.0, bank.0),
+            "lane reached an unowned bank"
+        );
+        self.banks[self.ownership.slot_of(bank.0)]
     }
 
     /// Guard for an L2-miss line fetch of `line`: the home bank must be
@@ -1342,24 +1387,24 @@ impl LaneCtx<'_> {
     fn fetch_ok(&self, line: LineAddr, exclusive: bool) -> Result<(), EscalationCause> {
         use EscalationCause::{Directory, L3Local, L3Remote};
         let bank = self.map.bank_of(line);
-        if !self.ownership.owns(self.cluster.0, bank) {
+        if !self.ownership.owns(self.id.0, bank) {
             return Err(L3Remote);
         }
-        let slot = self.ownership.slot_of(bank);
+        let bank = self.bank(bank);
         // The profiler (machine-global), owned-bank servicing switched
         // off, or a DRAM fill.
-        if self.profiled || !self.cfg.lane_owned_l3 || self.l3[slot].peek(line).is_none() {
+        if self.profiled || !self.cfg.lane_owned_l3 || bank.l3.peek(line).is_none() {
             return Err(L3Local);
         }
-        let Some(dirs) = self.dirs.as_ref() else {
+        let Some(dir) = bank.dir.as_ref() else {
             return Ok(()); // SWcc design point: no directory at all
         };
-        if let Some(e) = dirs[slot].peek(line) {
+        if let Some(e) = dir.peek(line) {
             let others = e
                 .sharers
                 .probe_targets(self.cfg.clusters())
                 .into_iter()
-                .any(|c| c != self.cluster);
+                .any(|c| c != self.id);
             return if others && (exclusive || e.state == DirState::Modified) {
                 Err(Directory) // probes to other clusters
             } else {
@@ -1371,19 +1416,19 @@ impl LaneCtx<'_> {
             Walk::Settled(domain) => domain,
             Walk::Coarse => Domain::SWcc,
             Walk::Fine(fine) => {
-                let slot_f = fine.slot_of(line);
-                let tline = slot_f.word.line();
-                let tc_hit = self
+                let slot = fine.slot_of(line);
+                let tline = slot.word.line();
+                let tc_hit = bank
                     .table_cache
                     .as_ref()
-                    .is_some_and(|tc| tc[slot].peek(tline).is_some());
-                if !tc_hit && self.l3[slot].peek(tline).is_none() {
+                    .is_some_and(|tc| tc.peek(tline).is_some());
+                if !tc_hit && bank.l3.peek(tline).is_none() {
                     return Err(L3Local); // the table line needs a DRAM fill
                 }
-                fine.domain_at(self.mem, slot_f)
+                fine.domain_at(self.mem, slot)
             }
         };
-        if domain == Domain::HWcc && dirs[slot].insert_victim_preview(line).is_some() {
+        if domain == Domain::HWcc && dir.insert_victim_preview(line).is_some() {
             return Err(Directory); // the victim's sharers need probes
         }
         Ok(())
@@ -1393,7 +1438,7 @@ impl LaneCtx<'_> {
     /// none, or a clean line dropped without a message, is always local;
     /// otherwise its writeback or read release must stay in the lane.
     fn victim_ok(&self, line: LineAddr) -> Result<(), EscalationCause> {
-        match self.l2.victim_preview(line) {
+        match self.cluster.l2.victim_preview(line) {
             Some(v) if v.dirty_words != 0 || !(v.incoherent || self.cfg.silent_evictions) => {
                 self.release_ok(v.addr, v.dirty_words != 0)
             }
@@ -1410,10 +1455,10 @@ impl LaneCtx<'_> {
             return Err(EscalationCause::L3Local); // the message feeds the profiler
         }
         let bank = self.map.bank_of(line);
-        if !self.ownership.owns(self.cluster.0, bank) {
+        if !self.ownership.owns(self.id.0, bank) {
             return Err(EscalationCause::Noc);
         }
-        if dirty && self.l3[self.ownership.slot_of(bank)].peek(line).is_none() {
+        if dirty && self.bank(bank).l3.peek(line).is_none() {
             return Err(EscalationCause::L3Local);
         }
         Ok(())
@@ -1427,19 +1472,24 @@ impl Access for LaneCtx<'_> {
         match op {
             Guard::Load(core, addr) => {
                 let (line, w) = (addr.line(), addr.word_index());
-                let in_l1 = self.l1d[self.local(core)].peek(line).is_some_and(|l| l.word_valid(w));
-                if in_l1 || self.l2.peek(line).is_some_and(|l| l.word_valid(w)) {
+                let c = &self.cluster;
+                let in_l1 = c.l1d[self.local(core)]
+                    .peek(line)
+                    .is_some_and(|l| l.word_valid(w));
+                if in_l1 || c.l2.peek(line).is_some_and(|l| l.word_valid(w)) {
                     return Ok(());
                 }
                 self.fetch_ok(line, false)?;
-                match self.l2.peek(line) {
+                match c.l2.peek(line) {
                     Some(_) => Ok(()), // a partial line fills in place
                     None => self.victim_ok(line),
                 }
             }
             Guard::Ifetch(core, addr) => {
                 let line = addr.line();
-                let cached = self.l1i[self.local(core)].peek(line).is_some() || self.l2.peek(line).is_some();
+                let c = &self.cluster;
+                let cached =
+                    c.l1i[self.local(core)].peek(line).is_some() || c.l2.peek(line).is_some();
                 if cached {
                     return Ok(());
                 }
@@ -1448,7 +1498,7 @@ impl Access for LaneCtx<'_> {
             }
             Guard::Store(addr) => {
                 let line = addr.line();
-                match self.l2.peek(line) {
+                match self.cluster.l2.peek(line) {
                     Some(l) if l.incoherent || matches!(l.state, HwState::Exclusive | HwState::Modified) => Ok(()),
                     Some(_) => self.fetch_ok(line, true), // ownership upgrade
                     None => match resolve_domain(self.cfg.design.mode, self.processes, self.mem, line) {
@@ -1463,7 +1513,7 @@ impl Access for LaneCtx<'_> {
                     },
                 }
             }
-            Guard::Flush(line) => match self.l2.peek(line) {
+            Guard::Flush(line) => match self.cluster.l2.peek(line) {
                 Some(l) if l.incoherent && l.dirty_words != 0 => self.release_ok(line, true),
                 _ => Ok(()),
             },
@@ -1486,43 +1536,39 @@ impl Access for LaneCtx<'_> {
     }
     fn l1i(&mut self, core: CoreId) -> &mut Cache {
         let i = self.local(core);
-        &mut self.l1i[i]
+        &mut self.cluster.l1i[i]
     }
     fn l1d(&mut self, core: CoreId) -> &mut Cache {
         let i = self.local(core);
-        &mut self.l1d[i]
+        &mut self.cluster.l1d[i]
     }
     fn l2(&mut self, cluster: ClusterId) -> &mut Cache {
-        debug_assert_eq!(cluster, self.cluster);
-        self.l2
+        debug_assert_eq!(cluster, self.id);
+        &mut self.cluster.l2
     }
     fn l2_port(&mut self, cluster: ClusterId) -> &mut Throttle {
-        debug_assert_eq!(cluster, self.cluster);
-        self.l2_ports
+        debug_assert_eq!(cluster, self.id);
+        &mut self.cluster.l2_port
     }
     fn l2_msgs(&mut self, cluster: ClusterId) -> &mut MessageCounts {
-        debug_assert_eq!(cluster, self.cluster);
-        self.l2_msgs
+        debug_assert_eq!(cluster, self.id);
+        &mut self.cluster.msgs
     }
     fn instr_stats(&mut self, cluster: ClusterId) -> &mut CoherenceInstrStats {
-        debug_assert_eq!(cluster, self.cluster);
-        self.instr_stats
+        debug_assert_eq!(cluster, self.id);
+        &mut self.cluster.instr_stats
     }
     fn l3(&mut self, bank: BankId) -> &mut Cache {
-        let slot = self.slot(bank);
-        self.l3[slot]
+        &mut self.bank_mut(bank).l3
     }
     fn l3_port(&mut self, bank: BankId) -> &mut Throttle {
-        let slot = self.slot(bank);
-        self.l3_ports[slot]
+        &mut self.bank_mut(bank).port
     }
     fn dir(&mut self, bank: BankId) -> Option<&mut DirectoryBank> {
-        let slot = self.slot(bank);
-        self.dirs.as_mut().map(|d| &mut *d[slot])
+        self.bank_mut(bank).dir.as_mut()
     }
     fn table_cache(&mut self, bank: BankId) -> Option<&mut Cache> {
-        let slot = self.slot(bank);
-        self.table_cache.as_mut().map(|c| &mut *c[slot])
+        self.bank_mut(bank).table_cache.as_mut()
     }
     fn request(&mut self, cluster: ClusterId, bank: BankId, now: Cycle) -> Cycle {
         self.noc.request(cluster, bank, now)
@@ -1540,141 +1586,68 @@ impl Access for LaneCtx<'_> {
         Err(EscalationCause::Atomic.into()) // uncached by design: serial
     }
     fn metrics_mut(&mut self) -> &mut Registry {
-        &mut self.scratch.metrics
+        &mut self.cluster.metrics
     }
     fn profiler(&mut self) -> Option<&mut RegionProfiler> {
         None // the guard refused whatever would feed it
     }
     fn trace(&mut self, t: Cycle, line: LineAddr, event: LineEvent) {
-        self.scratch.timeline.line(self.cluster.0, t, line.0, event);
+        self.cluster.timeline.line(t, line.0, event);
     }
     fn span_start(&self) -> Option<u64> {
-        self.scratch.timeline.start()
+        self.cluster.timeline.start()
     }
     fn l3_serviced(&mut self, start: Option<u64>, issued: Cycle) {
-        self.scratch.timeline.service("l3_service", self.cluster.0, start, issued);
-        self.scratch.timeline.note_l3_fast();
+        self.cluster.timeline.service("l3_service", start, issued);
+        self.cluster.timeline.note_l3_fast();
     }
 }
 
 impl Machine {
-    /// One [`LaneScratch`] per cluster, armed exactly like the machine
-    /// registry so phase-A telemetry is recorded iff metrics are on.
-    pub fn new_lane_scratches(&self) -> Vec<LaneScratch> {
-        (0..self.cfg.clusters())
-            .map(|_| LaneScratch {
-                metrics: if self.metrics.is_armed() {
-                    Registry::armed(METRICS_WINDOW)
-                } else {
-                    Registry::disarmed()
-                },
-                timeline: self.timeline.lane(),
-            })
-            .collect()
-    }
-
-    /// Folds lane scratches back into the machine registry, in lane
-    /// order (the fixed order keeps the merged snapshot deterministic).
-    pub fn absorb_lane_scratches(&mut self, scratches: &[LaneScratch]) {
-        for s in scratches {
-            self.metrics.merge_from(&s.metrics);
-        }
-    }
-
-    /// Splits the machine into one [`LaneCtx`] per cluster. The lanes
-    /// borrow disjoint mutable slices — cluster-private caches, port
-    /// throttles, counters, **and the L3 banks / directory slices /
-    /// table caches / direct links each lane owns under the static
-    /// [`BankOwnership`] partition** — plus shared read-only state, so
-    /// they can be driven concurrently; `MainMemory` is `Sync` by
-    /// design.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `scratches` has exactly one entry per cluster.
-    pub fn lanes<'a>(&'a mut self, scratches: &'a mut [LaneScratch]) -> Vec<LaneCtx<'a>> {
-        let cpc = self.cfg.cores_per_cluster as usize;
-        let n = self.cfg.clusters() as usize;
-        assert_eq!(scratches.len(), n, "one scratch per cluster");
+    /// Splits the machine into one [`LaneCtx`] per cluster: its cluster
+    /// tile, **the bank tiles it owns under the static [`BankOwnership`]
+    /// partition** (dealt in slot order, the order in which
+    /// [`Noc::lanes`] deals their direct links), its share of the NoC,
+    /// and shared read-only state. The lanes borrow disjoint tiles, so
+    /// they can be driven concurrently; `MainMemory` is `Sync` by design.
+    pub fn lanes(&mut self) -> Vec<LaneCtx<'_>> {
         let profiled = !self.profiler.is_empty();
         let Machine {
             cfg,
             map,
             processes,
             mem,
-            l1i,
-            l1d,
-            l2,
-            l2_ports,
-            l2_msgs,
-            instr_stats,
-            l3,
-            l3_ports,
-            dirs,
-            table_cache,
+            clusters,
+            banks,
             noc,
             ..
         } = self;
-        let cfg: &MachineConfig = cfg;
-        let processes: &[ProcessCtx] = processes;
-        let mem: &MainMemory = mem;
-        let own = noc.ownership();
-        debug_assert_eq!(own.lanes() as usize, n);
-        let lane_nocs = noc.lanes();
-
-        // Deal the banked state to its owning lane, in slot order (the
-        // same order `Noc::lanes` dealt the bank links).
-        fn deal<'a, T>(items: &'a mut [T], own: &BankOwnership) -> Vec<Vec<&'a mut T>> {
-            let mut out: Vec<Vec<&'a mut T>> = (0..own.lanes()).map(|_| Vec::new()).collect();
-            for (b, item) in items.iter_mut().enumerate() {
-                out[own.lane_of(b as u32) as usize].push(item);
-            }
-            out
+        let (cfg, processes, mem): (&MachineConfig, &[ProcessCtx], &MainMemory) =
+            (cfg, processes, mem);
+        let ownership = noc.ownership();
+        debug_assert_eq!(ownership.lanes() as usize, clusters.len());
+        let mut dealt: Vec<Vec<&mut Bank>> = clusters.iter().map(|_| Vec::new()).collect();
+        for (b, bank) in banks.iter_mut().enumerate() {
+            dealt[ownership.lane_of(b as u32) as usize].push(bank);
         }
-        let l3 = deal(l3, &own);
-        let l3_ports = deal(l3_ports, &own);
-        let mut dirs = dirs.as_mut().map(|d| deal(d, &own).into_iter());
-        let mut table_cache = table_cache.as_mut().map(|t| deal(t, &own).into_iter());
-
-        let mut out = Vec::with_capacity(n);
-        let zipped = l1i
-            .chunks_mut(cpc)
-            .zip(l1d.chunks_mut(cpc))
-            .zip(l2.iter_mut())
-            .zip(l2_ports.iter_mut())
-            .zip(l2_msgs.iter_mut())
-            .zip(instr_stats.iter_mut())
-            .zip(scratches.iter_mut())
-            .zip(l3)
-            .zip(l3_ports)
-            .zip(lane_nocs)
-            .enumerate();
-        for (c, (((((((((l1i, l1d), l2), l2_ports), l2_msgs), instr_stats), scratch), l3), l3_ports), noc)) in
-            zipped
-        {
-            out.push(LaneCtx {
-                cluster: ClusterId(c as u32),
+        clusters
+            .iter_mut()
+            .zip(dealt)
+            .zip(noc.lanes())
+            .enumerate()
+            .map(|(c, ((cluster, banks), noc))| LaneCtx {
+                id: ClusterId(c as u32),
+                cluster,
+                banks,
+                noc,
                 cfg,
                 map: *map,
-                ownership: own,
+                ownership,
                 profiled,
                 processes,
                 mem,
-                l1i,
-                l1d,
-                l2,
-                l2_ports,
-                l2_msgs,
-                instr_stats,
-                l3,
-                l3_ports,
-                dirs: dirs.as_mut().map(|it| it.next().expect("one per lane")),
-                table_cache: table_cache.as_mut().map(|it| it.next().expect("one per lane")),
-                noc,
-                scratch,
-            });
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -1707,6 +1680,15 @@ mod tests {
         let (t2, v) = m.load(CoreId(0), a, t);
         assert_eq!(v, 0xfeed);
         assert!(t2 > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_a_cluster_size_that_is_not_a_power_of_two() {
+        let mut cfg = MachineConfig::scaled(16, DesignPoint::hwcc_ideal());
+        cfg.cores = 12;
+        cfg.cores_per_cluster = 6;
+        Machine::new(cfg, Layout::new(&LayoutConfig::new(12)));
     }
 
     #[test]
@@ -1971,7 +1953,7 @@ mod tests {
     /// What a refused operation must leave as it was.
     fn footprint(m: &Machine, lines: &[Addr]) -> String {
         let digests: Vec<u64> = lines.iter().map(|a| m.line_state_digest(a.line())).collect();
-        let grants: Vec<u64> = m.l2_ports.iter().map(Throttle::grants).collect();
+        let grants: Vec<u64> = m.clusters.iter().map(|c| c.l2_port.grants()).collect();
         let (l2, l3, msgs) = (m.l2_stats(), m.l3_stats(), m.total_messages());
         format!("{digests:?} {l2:?} {l3:?} {msgs:?} {:?} {:?} {grants:?}", m.noc_stats(), m.dram_stats())
     }
@@ -1985,8 +1967,7 @@ mod tests {
         op: impl FnOnce(&mut LaneCtx<'_>) -> Result<T, EscalationCause>,
     ) {
         let before = footprint(m, lines);
-        let mut scratches = m.new_lane_scratches();
-        assert_eq!(op(&mut m.lanes(&mut scratches)[0]).err(), Some(cause));
+        assert_eq!(op(&mut m.lanes()[0]).err(), Some(cause));
         assert_eq!(footprint(m, lines), before, "a refused {cause:?} operation left a trace");
     }
 
@@ -2008,7 +1989,7 @@ mod tests {
         // The data line sits in its home L3 bank; its fine-table line does not.
         let data = m.mem.read_line(a.line());
         let bank = m.map.bank_of(a.line()) as usize;
-        m.l3[bank].allocate(a.line()).0.fill_masked(&data, 0xff);
+        m.banks[bank].l3.allocate(a.line()).0.fill_masked(&data, 0xff);
         refuses(&mut m, &[a], EscalationCause::L3Local, |l| access::load(l, CoreId(0), a, 0));
         assert!(m.load(CoreId(0), a, 0).0 > 0);
     }
@@ -2095,6 +2076,51 @@ mod tests {
             }
         });
         assert!(m.atomic(ClusterId(0), a, AtomicKind::Add, 1, 0).is_ok());
+    }
+
+    /// Lane `l` is dealt exactly the banks `b ≡ l (mod lanes)`, in slot
+    /// order: each bank holds a line homed on it, and a lane's
+    /// `Access::l3` finds every owned bank's line in that bank.
+    #[test]
+    fn lanes_are_dealt_their_banks_in_slot_order() {
+        // 16 cores over 8 banks: four slots per lane. 64 cores over the
+        // default 2 banks: lanes 2–7 own none.
+        for (cores, banks) in [(16, 8), (64, 2)] {
+            let mut cfg = MachineConfig::scaled(cores, DesignPoint::cohesion(1024, 128));
+            cfg.l3_banks = banks;
+            let mut m = Machine::new(cfg, Layout::new(&LayoutConfig::new(cores)));
+            let marks: Vec<LineAddr> = (0..banks)
+                .map(|b| {
+                    (0..)
+                        .map(LineAddr)
+                        .find(|&l| m.map.bank_of(l) == b)
+                        .expect("a line homed on b")
+                })
+                .collect();
+            for (tile, &line) in m.banks.iter_mut().zip(&marks) {
+                tile.l3
+                    .allocate(line)
+                    .0
+                    .fill_masked(&[0; WORDS_PER_LINE], 0xff);
+            }
+            let lanes = cfg.clusters();
+            for (l, mut lane) in (0..).zip(m.lanes()) {
+                let owned: Vec<u32> = (0..banks).filter(|b| b % lanes == l).collect();
+                assert_eq!(
+                    lane.banks.len(),
+                    owned.len(),
+                    "{cores} cores: lane {l} holds {} banks",
+                    lane.banks.len()
+                );
+                for b in owned {
+                    let found = lane.l3(BankId(b)).peek(marks[b as usize]).is_some();
+                    assert!(
+                        found,
+                        "{cores} cores: lane {l} reached another bank for bank {b}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -2331,11 +2357,10 @@ mod line_event_tests {
     fn a_lane_admits_a_watched_load_and_records_it() {
         let (mut m, a) = watching(DesignPoint::cohesion(16 * 1024, 128), |l| l.coherent_heap.start);
         let (t, _) = m.load(CoreId(0), a, 0); // into cluster 0's L2
-        let mut scratches = m.new_lane_scratches();
-        let mut lanes = m.lanes(&mut scratches);
+        let mut lanes = m.lanes();
         assert_eq!(access::load(&mut lanes[0], CoreId(1), a, t).err(), None, "the lane refused");
         drop(lanes);
-        m.timeline_mut().absorb_lane(&mut scratches[0].timeline);
+        m.absorb_lane_timelines();
         assert_eq!(events(&m).last(), Some(&(Track::Lane(0), LineEvent::Load { level: Level::L2 })));
     }
 }

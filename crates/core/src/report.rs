@@ -107,14 +107,6 @@ impl RunReport {
         self.messages.total()
     }
 
-    /// Messages normalized to a baseline run (the Figure 2/8 y-axis).
-    pub fn messages_relative_to(&self, baseline: &RunReport) -> f64 {
-        if baseline.total_messages() == 0 {
-            return 0.0;
-        }
-        self.total_messages() as f64 / baseline.total_messages() as f64
-    }
-
     /// Runtime normalized to a baseline run (the Figure 9/10 y-axis).
     pub fn runtime_relative_to(&self, baseline: &RunReport) -> f64 {
         if baseline.cycles == 0 {

@@ -4,6 +4,14 @@
 //! ([`crate::multi::run_workloads`]): program `p` of `N` runs on the
 //! clusters `c ≡ p (mod N)` in address-space slice `p`, with its own task
 //! queue, barrier, and phase stream.
+//!
+//! Every window splits the machine into one lane per cluster tile
+//! ([`Machine::lanes`]) and runs phase A on the lanes through one
+//! [`Crew`], whose `shards - 1` workers join the calling thread (at one
+//! shard the caller runs every lane). The lanes' timelines are then
+//! absorbed into the machine's in lane order, and phase B replays the
+//! escalated slices on the whole machine. The lanes' metrics are folded
+//! in once, at the end of the run.
 
 use cohesion_mem::addr::Addr;
 use cohesion_mem::mainmem::MainMemory;
@@ -19,7 +27,7 @@ use std::sync::Arc;
 
 use crate::access::{self, Access, Stop};
 use crate::config::MachineConfig;
-use crate::machine::{LaneCtx, LaneScratch, Machine, MachineError};
+use crate::machine::{LaneCtx, Machine, MachineError};
 use crate::report::RunReport;
 
 /// A workload: allocates its data through the Cohesion API, produces
@@ -487,7 +495,7 @@ fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue], horizon: Cycle) {
             Err(stop) => {
                 let failed = matches!(stop, Stop::Fail(_));
                 if let Stop::Escalate { cause } = stop {
-                    w.ctx.timeline().note_escalation(lane, t, cause);
+                    w.ctx.timeline().note_escalation(t, cause);
                 }
                 w.out.push(Halted {
                     key: (t0, lane, seq),
@@ -503,7 +511,9 @@ fn process_lane(w: &mut LaneWork<'_>, queues: &[TaskQueue], horizon: Cycle) {
         }
         seq += 1;
     }
-    w.ctx.timeline().service("phase_a", lane, span_start, window_cycle);
+    w.ctx
+        .timeline()
+        .service("phase_a", span_start, window_cycle);
 }
 
 /// One phase-A slice: [`run_ops`] on a lane view. A core that needs a
@@ -630,12 +640,12 @@ struct Exec {
     queues: Vec<TaskQueue>,
     /// Per lane: its cores' pending wake-ups, `(cycle, core)`.
     lanes: Vec<EventQueue<u32>>,
-    /// Per-lane metrics scratches, absorbed into the machine by `finish`.
-    scratches: Vec<LaneScratch>,
-    /// Worker threads for phase A; `None` = run lanes inline (shards=1).
-    crew: Option<Crew>,
+    /// Phase A's threads: the caller plus `shards - 1` workers (none at
+    /// one shard, when every lane runs on the caller).
+    crew: Crew,
     /// Crew park/run span log, drained into the machine timeline by
-    /// `finish`; `None` unless the timeline is armed and a crew exists.
+    /// `finish`; `None` unless the timeline is armed and the crew has
+    /// workers.
     crew_trace: Option<Arc<CrewSpanLog>>,
     cores_per_cluster: usize,
     // Window buffers, reused from window to window.
@@ -668,7 +678,7 @@ impl Exec {
         let crew_trace = (threads > 1 && machine.timeline().is_armed()).then(|| {
             Arc::new(CrewSpanLog::new(
                 threads - 1,
-                machine.timeline().epoch_instant(),
+                machine.timeline(),
                 CREW_RING_CAPACITY,
             ))
         });
@@ -676,11 +686,10 @@ impl Exec {
             cores,
             queues,
             lanes: std::iter::repeat_with(EventQueue::new).take(n_lanes).collect(),
-            scratches: machine.new_lane_scratches(),
-            crew: (threads > 1).then(|| match &crew_trace {
+            crew: match &crew_trace {
                 Some(tr) => Crew::traced(threads - 1, Arc::clone(tr)),
                 None => Crew::new(threads - 1),
-            }),
+            },
             crew_trace,
             cores_per_cluster: cfg.cores_per_cluster as usize,
             halted: std::iter::repeat_with(Vec::new).take(n_lanes).collect(),
@@ -688,11 +697,11 @@ impl Exec {
         }
     }
 
-    /// Folds per-lane accounting back into the machine (metrics
-    /// scratches in fixed lane order, crew spans, event-queue totals
-    /// summed over the lanes).
+    /// Folds per-lane accounting back into the machine (lane metrics in
+    /// fixed lane order, crew spans, event-queue totals summed over the
+    /// lanes).
     fn finish(&mut self, machine: &mut Machine) {
-        machine.absorb_lane_scratches(&self.scratches);
+        machine.absorb_lane_metrics();
         if let Some(trace) = &self.crew_trace {
             machine.timeline_mut().absorb_crew(trace);
         }
@@ -769,7 +778,7 @@ impl Exec {
         // Phase A: lanes step their cores on lane-local state.
         let n = self.queues.len();
         let mut jobs: Vec<LaneWork<'_>> = machine
-            .lanes(&mut self.scratches)
+            .lanes()
             .into_iter()
             .zip(&mut self.lanes)
             .zip(self.cores.chunks_mut(self.cores_per_cluster))
@@ -785,21 +794,13 @@ impl Exec {
             })
             .collect();
         let queues = &self.queues;
-        match &mut self.crew {
-            Some(crew) => crew.run(&mut jobs, |w| process_lane(w, queues, horizon)),
-            None => jobs.iter_mut().for_each(|w| process_lane(w, queues, horizon)),
-        }
+        self.crew
+            .run(&mut jobs, |w| process_lane(w, queues, horizon));
         for (c, w) in jobs.iter().enumerate() {
             let q = &mut self.queues[c % n];
             q.end = q.end.max(w.max_end);
         }
-        // Lane timeline buffers fold in fixed lane order, so the main
-        // ring's drop sequence never depends on host threads.
-        if machine.timeline().is_armed() {
-            for s in self.scratches.iter_mut() {
-                machine.timeline_mut().absorb_lane(&mut s.timeline);
-            }
-        }
+        machine.absorb_lane_timelines();
 
         // Phase B: escalated slices resume serially, in the window's
         // canonical order; the canonically-first failure aborts the run.
@@ -967,9 +968,8 @@ mod tests {
         let cfg = MachineConfig::scaled(16, DesignPoint::cohesion(16 * 1024, 128));
         let mut m = Machine::new(cfg, Layout::new(&LayoutConfig::new(16)));
         let mut cs = CoreState::new(0, cfg.cores_per_cluster, m.layout());
-        let mut scratches = m.new_lane_scratches();
         let mut t = 5;
-        let got = lane_slice(&mut m.lanes(&mut scratches)[0], &mut cs, CoreId(0), &mut t, 5 + QUANTUM, &[]);
+        let got = lane_slice(&mut m.lanes()[0], &mut cs, CoreId(0), &mut t, 5 + QUANTUM, &[]);
         assert!(matches!(got, Err(Stop::Escalate { cause: EscalationCause::TaskQueue })));
         assert_eq!((t, m.l2_stats(), m.total_messages().total()), (5, (0, 0, 0), 0));
     }

@@ -133,12 +133,6 @@ impl ArrayRef {
     pub fn storef(&self, b: &mut TaskBuilder, golden: &mut MainMemory, i: u32, v: f32) {
         self.store(b, golden, i, fbits(v));
     }
-
-    /// Whether `line`'s base address falls inside this array.
-    pub fn contains_line(&self, line: cohesion_mem::addr::LineAddr) -> bool {
-        let a = line.base().0;
-        a >= self.base.0 && a < self.base.0 + self.len * 4
-    }
 }
 
 /// Returns the standard SWcc filter for task epilogues: a line gets

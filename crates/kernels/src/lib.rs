@@ -84,11 +84,3 @@ pub fn kernel_by_name_seeded(name: &str, scale: Scale, seed: u64) -> Box<dyn Wor
         other => panic!("unknown kernel {other:?}"),
     }
 }
-
-/// Constructs all eight kernels at the given scale.
-pub fn all_kernels(scale: Scale) -> Vec<Box<dyn Workload>> {
-    KERNEL_NAMES
-        .iter()
-        .map(|n| kernel_by_name(n, scale))
-        .collect()
-}

@@ -68,11 +68,6 @@ impl Line {
         }
     }
 
-    /// Whether any word of the line is valid.
-    pub fn is_valid(&self) -> bool {
-        self.valid_words != 0
-    }
-
     /// Whether any word of the line is dirty.
     pub fn is_dirty(&self) -> bool {
         self.dirty_words != 0

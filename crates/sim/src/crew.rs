@@ -40,8 +40,14 @@
 //! unspecified threads, so they must touch disjoint state; any cross-item
 //! ordering belongs in serial code between batches. Determinism
 //! therefore never depends on the crew: with the work partitioned by
-//! lane, the same batch produces the same per-lane results whether it
-//! runs here or inline on one thread.
+//! lane, the same batch produces the same per-lane results whichever
+//! participant runs each item. A crew of zero workers runs every batch
+//! on the caller, so the executor keeps one path at any shard count.
+//!
+//! A traced crew ([`Crew::traced`]) has each worker record its park and
+//! run spans into its own bounded [`crate::timeline::Timeline`], on its
+//! crew track ([`CrewSpanLog`]), which the machine's recorder absorbs at
+//! the end of the run.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -420,6 +426,7 @@ impl Drop for Crew {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::Timeline;
 
     #[test]
     fn runs_every_item_exactly_once() {
@@ -475,7 +482,8 @@ mod tests {
 
     #[test]
     fn traced_crew_records_park_and_run_spans() {
-        let log = Arc::new(CrewSpanLog::new(2, Instant::now(), 1024));
+        let mut tl = Timeline::armed(1, None);
+        let log = Arc::new(CrewSpanLog::new(2, &tl, 1024));
         let mut crew = Crew::traced(2, Arc::clone(&log));
         let mut seen_park = false;
         let mut seen_run = false;
@@ -484,7 +492,8 @@ mod tests {
         // slow-enough items until both span kinds show up.
         for _ in 0..200 {
             crew.run(&mut [(); 4], |_| std::thread::sleep(Duration::from_millis(1)));
-            let (spans, _) = log.drain();
+            tl.absorb_crew(&log);
+            let spans = tl.snapshot().expect("armed").crew_spans;
             seen_park |= spans.iter().any(|s| s.name == "crew_park");
             seen_run |= spans.iter().any(|s| s.name == "crew_run");
             if seen_park && seen_run {

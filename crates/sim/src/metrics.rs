@@ -371,9 +371,10 @@ impl Registry {
     /// match), and marks append in `other`'s record order.
     ///
     /// Merging is associative, and commutative for everything except
-    /// mark order — so callers that need deterministic output (the
-    /// sharded executor folding per-lane scratch registries) must merge
-    /// in a fixed order (lane 0, 1, …).
+    /// mark order — so callers that need deterministic output (such as
+    /// `Machine::absorb_lane_metrics`, which folds the lane registries
+    /// held in the cluster tiles) must merge in a fixed order (cluster 0,
+    /// 1, …).
     ///
     /// Merging into a disarmed registry is a no-op, mirroring every
     /// other record call.

@@ -11,6 +11,13 @@
 //! ([`LineEvent`]). The ring drops **oldest-first** when full and counts
 //! what it dropped, so a truncated timeline is always an honest suffix.
 //!
+//! Every recorder records on one [`Track`]. The machine's recorder is
+//! the serial track's; each cluster lane and each crew worker records
+//! into a [`Timeline::child`] of it, on its own track, and
+//! [`Timeline::absorb`] drains a child into its parent: a lane's
+//! unbounded buffer after every window, in fixed lane order, and the
+//! crew workers' bounded rings ([`CrewSpanLog`]) at the end of the run.
+//!
 //! # Determinism contract
 //!
 //! The recorder splits its content into two strata:
@@ -23,9 +30,9 @@
 //!   document ([`TimelineSnapshot::summary_json`]).
 //! * **Wall-clock spans** — host-time measurements that are *only*
 //!   exported in the Chrome trace-event file, never in a deterministic
-//!   document. Crew worker spans live in their own ring
-//!   ([`CrewSpanLog`]) precisely so their host-dependent volume cannot
-//!   perturb the main ring's deterministic drop counter.
+//!   document. Crew worker spans are absorbed into a section of their
+//!   own, not the main ring, precisely so their host-dependent volume
+//!   cannot perturb the main ring's deterministic drop counter.
 //!
 //! Disarmed (the default), every recording call is an inlined
 //! early-return and the recorder allocates nothing — the same
@@ -325,14 +332,16 @@ impl TimelineSnapshot {
     }
 }
 
-/// The machine-owned flight recorder. See the module docs for the
-/// determinism contract.
+/// A flight recorder on one [`Track`]: the machine's (serial), a lane's
+/// or a crew worker's. See the module docs for the determinism contract.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     armed: bool,
     epoch: Instant,
     /// The watched line address, or [`UNWATCHED`].
     watch: u32,
+    /// The track every span recorded here goes on.
+    track: Track,
     ring: VecDeque<Span>,
     capacity: usize,
     dropped: u64,
@@ -351,6 +360,7 @@ impl Timeline {
             armed: false,
             epoch: Instant::now(),
             watch: UNWATCHED,
+            track: Track::Serial,
             ring: VecDeque::new(),
             capacity: 0,
             dropped: 0,
@@ -363,8 +373,9 @@ impl Timeline {
         }
     }
 
-    /// An armed recorder whose main ring holds up to `capacity` spans,
-    /// recording the [`LineEvent`]s of line address `watch`, if any.
+    /// An armed serial-track recorder whose main ring holds up to
+    /// `capacity` spans, recording the [`LineEvent`]s of line address
+    /// `watch`, if any.
     pub fn armed(capacity: usize, watch: Option<u32>) -> Timeline {
         Timeline {
             armed: true,
@@ -381,9 +392,18 @@ impl Timeline {
         self.armed
     }
 
-    /// The wall-clock instant all span timestamps are relative to.
-    pub fn epoch_instant(&self) -> Instant {
-        self.epoch
+    /// A recorder armed like this one (same epoch, same watched line)
+    /// that records on `track` and keeps at most `capacity` spans,
+    /// reserving nothing up front. [`Timeline::absorb`] drains it back.
+    pub fn child(&self, track: Track, capacity: usize) -> Timeline {
+        Timeline {
+            armed: self.armed,
+            epoch: self.epoch,
+            watch: self.watch,
+            track,
+            capacity: capacity.max(1),
+            ..Timeline::disarmed()
+        }
     }
 
     /// Microseconds elapsed since the recorder epoch.
@@ -411,34 +431,21 @@ impl Timeline {
         self.ring.push_back(span);
     }
 
-    /// Records a serial-track span (phase B or a service) that began at
-    /// `start` (a token from [`Timeline::start`]); no-op when the token
-    /// is `None`.
+    /// Records a span on this recorder's track (phase A or B, a service)
+    /// that began at `start` (a token from [`Timeline::start`]); no-op
+    /// when the token is `None`.
     pub fn service(&mut self, name: &'static str, start: Option<u64>, cycle: Cycle) {
         let Some(t0) = start else { return };
         let now = self.now_us();
-        self.push(Span::interval(Track::Serial, name, t0, now, cycle));
+        self.push(Span::interval(self.track, name, t0, now, cycle));
     }
 
-    /// Records `event` on the serial track if `line` is the watched line
-    /// (never when disarmed): one compare on the unwatched path.
+    /// Records `event` on this recorder's track if `line` is the watched
+    /// line (never when disarmed): one compare on the unwatched path.
     #[inline]
     pub fn line(&mut self, cycle: Cycle, line: u32, event: LineEvent) {
         if line == self.watch {
-            self.push(Span::line(Track::Serial, self.now_us(), cycle, line, event));
-        }
-    }
-
-    /// A lane buffer armed like this recorder: same epoch, same watch.
-    pub fn lane(&self) -> LaneTimeline {
-        LaneTimeline {
-            armed: self.armed,
-            epoch: self.epoch,
-            watch: self.watch,
-            spans: Vec::new(),
-            fast: 0,
-            l3_fast: 0,
-            escalated: [0; CAUSES],
+            self.push(Span::line(self.track, self.now_us(), cycle, line, event));
         }
     }
 
@@ -449,34 +456,72 @@ impl Timeline {
         }
     }
 
-    /// Drains a lane's window-local buffer into the main ring (call in
-    /// fixed lane order for a deterministic drop sequence) and folds its
-    /// deterministic counters.
-    pub fn absorb_lane(&mut self, lane: &mut LaneTimeline) {
-        if !self.armed || !lane.armed {
-            return;
-        }
-        self.fast_slices += std::mem::take(&mut lane.fast);
-        self.l3_fast += std::mem::take(&mut lane.l3_fast);
-        for i in 0..CAUSES {
-            self.escalated[i] += lane.escalated[i];
-            lane.escalated[i] = 0;
-        }
-        for s in lane.spans.drain(..) {
-            self.push(s);
+    /// Counts a slice that completed entirely in phase A.
+    pub fn note_fast(&mut self) {
+        if self.armed {
+            self.fast_slices += 1;
         }
     }
 
-    /// Drains the crew span rings (worker order) into the snapshot-only
-    /// crew section. Crew volume is host-dependent, so it never touches
-    /// the main ring or its deterministic drop counter.
-    pub fn absorb_crew(&mut self, log: &CrewSpanLog) {
+    /// Counts an L2-miss line fetch serviced entirely in phase A on a
+    /// lane-owned L3 bank (an event that would have escalated as
+    /// [`EscalationCause::L3Local`] without bank ownership).
+    pub fn note_l3_fast(&mut self) {
+        if self.armed {
+            self.l3_fast += 1;
+        }
+    }
+
+    /// Counts an escalation and records its instant event on this
+    /// recorder's track.
+    pub fn note_escalation(&mut self, cycle: Cycle, cause: EscalationCause) {
         if !self.armed {
             return;
         }
-        let (spans, dropped) = log.drain();
-        self.crew_spans.extend(spans);
-        self.crew_dropped += dropped;
+        self.escalated[cause.index()] += 1;
+        let now = self.now_us();
+        self.push(Span {
+            track: self.track,
+            name: "escalate",
+            start_us: now,
+            dur_us: 0,
+            cycle,
+            mark: Mark::Escalate(cause),
+        });
+    }
+
+    /// Drains a child recorder ([`Timeline::child`]) into this one and
+    /// folds its deterministic counters. A lane's spans go to the main
+    /// ring (absorb lanes in fixed lane order for a deterministic drop
+    /// sequence); a crew worker's go to the snapshot-only crew section,
+    /// since crew volume is host-dependent and must never touch the main
+    /// ring or its deterministic drop counter.
+    pub fn absorb(&mut self, child: &mut Timeline) {
+        if !self.armed || !child.armed {
+            return;
+        }
+        self.fast_slices += std::mem::take(&mut child.fast_slices);
+        self.l3_fast += std::mem::take(&mut child.l3_fast);
+        for (total, n) in self.escalated.iter_mut().zip(&mut child.escalated) {
+            *total += std::mem::take(n);
+        }
+        let dropped = std::mem::take(&mut child.dropped);
+        if let Track::Crew(_) = child.track {
+            self.crew_dropped += dropped;
+            self.crew_spans.extend(child.ring.drain(..));
+        } else {
+            self.dropped += dropped;
+            for s in child.ring.drain(..) {
+                self.push(s);
+            }
+        }
+    }
+
+    /// Drains the crew workers' rings, in worker order.
+    pub fn absorb_crew(&mut self, log: &CrewSpanLog) {
+        for ring in &log.rings {
+            self.absorb(&mut ring.lock().expect("a crew worker panicked while recording"));
+        }
     }
 
     /// Spans dropped from the main ring so far.
@@ -508,118 +553,27 @@ impl Timeline {
     }
 }
 
-/// A lane's window-local recording buffer, absorbed into the machine
-/// [`Timeline`] in fixed lane order after every window. Lives in the
-/// lane scratch so phase A worker threads record without touching
-/// shared state.
-#[derive(Debug)]
-pub struct LaneTimeline {
-    armed: bool,
-    epoch: Instant,
-    watch: u32,
-    spans: Vec<Span>,
-    fast: u64,
-    l3_fast: u64,
-    escalated: [u64; CAUSES],
-}
-
-impl LaneTimeline {
-    /// Whether the buffer records anything.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Microseconds since the shared epoch.
-    pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Starts a wall-clock measurement (`None` when disarmed).
-    pub fn start(&self) -> Option<u64> {
-        self.armed.then(|| self.now_us())
-    }
-
-    /// Counts a slice that completed entirely in phase A.
-    pub fn note_fast(&mut self) {
-        if self.armed {
-            self.fast += 1;
-        }
-    }
-
-    /// Counts an L2-miss line fetch serviced entirely in phase A on a
-    /// lane-owned L3 bank (an event that would have escalated as
-    /// [`EscalationCause::L3Local`] without bank ownership).
-    pub fn note_l3_fast(&mut self) {
-        if self.armed {
-            self.l3_fast += 1;
-        }
-    }
-
-    /// Records a span on the lane's own track that began at `start` (a
-    /// token from [`LaneTimeline::start`]); no-op when the token is
-    /// `None`. Used for the window's `phase_a` span and for `l3_service`
-    /// spans serviced in phase A.
-    pub fn service(&mut self, name: &'static str, lane: u32, start: Option<u64>, cycle: Cycle) {
-        let Some(t0) = start else { return };
-        let now = self.now_us();
-        self.spans.push(Span::interval(Track::Lane(lane), name, t0, now, cycle));
-    }
-
-    /// Records `event` on the lane's track if `line` is the watched line
-    /// (never when disarmed): one compare on the unwatched path.
-    #[inline]
-    pub fn line(&mut self, lane: u32, cycle: Cycle, line: u32, event: LineEvent) {
-        if line == self.watch {
-            self.spans.push(Span::line(Track::Lane(lane), self.now_us(), cycle, line, event));
-        }
-    }
-
-    /// Counts an escalation and records its instant event on the lane's
-    /// track.
-    pub fn note_escalation(&mut self, lane: u32, cycle: Cycle, cause: EscalationCause) {
-        if !self.armed {
-            return;
-        }
-        self.escalated[cause.index()] += 1;
-        let now = self.now_us();
-        self.spans.push(Span {
-            track: Track::Lane(lane),
-            name: "escalate",
-            start_us: now,
-            dur_us: 0,
-            cycle,
-            mark: Mark::Escalate(cause),
-        });
-    }
-}
-
-/// One crew worker's bounded span ring.
-#[derive(Debug, Default)]
-struct CrewRing {
-    spans: VecDeque<Span>,
-    dropped: u64,
-}
-
-/// Shared park/run recording for [`crate::crew::Crew`] worker threads.
-/// Each worker owns one ring (its lock is uncontended in steady state);
-/// rings are bounded with the same oldest-first drop accounting as the
-/// main timeline, tracked separately because worker count — and hence
-/// span volume — is host configuration, not simulated state.
+/// Park/run recording for [`crate::crew::Crew`] worker threads: one
+/// bounded child [`Timeline`] per worker, on its own crew track (its lock
+/// is uncontended in steady state). The rings keep the main ring's
+/// oldest-first drop accounting, and [`Timeline::absorb`] counts their
+/// drops apart, because worker count — and hence span volume — is host
+/// configuration, not simulated state.
 #[derive(Debug)]
 pub struct CrewSpanLog {
     epoch: Instant,
-    capacity: usize,
-    rings: Vec<Mutex<CrewRing>>,
+    rings: Vec<Mutex<Timeline>>,
 }
 
 impl CrewSpanLog {
     /// A log for `workers` crew threads, `capacity` spans per worker,
-    /// timestamped against the machine recorder's `epoch`.
-    pub fn new(workers: usize, epoch: Instant, capacity: usize) -> CrewSpanLog {
+    /// armed and timestamped like `parent`.
+    pub fn new(workers: usize, parent: &Timeline, capacity: usize) -> CrewSpanLog {
         CrewSpanLog {
-            epoch,
-            capacity: capacity.max(1),
-            rings: (0..workers).map(|_| Mutex::new(CrewRing::default())).collect(),
+            epoch: parent.epoch,
+            rings: (0..workers)
+                .map(|w| Mutex::new(parent.child(Track::Crew(w as u32), capacity)))
+                .collect(),
         }
     }
 
@@ -632,24 +586,9 @@ impl CrewSpanLog {
     /// ignored (defensive; the crew sizes the log).
     pub fn record(&self, worker: usize, name: &'static str, start_us: u64, dur_us: u64) {
         let Some(ring) = self.rings.get(worker) else { return };
-        let mut r = ring.lock().unwrap();
-        if r.spans.len() == self.capacity {
-            r.spans.pop_front();
-            r.dropped += 1;
-        }
-        r.spans.push_back(Span::interval(Track::Crew(worker as u32), name, start_us, start_us + dur_us, 0));
-    }
-
-    /// Drains every ring (worker order) into `(spans, dropped_total)`.
-    pub fn drain(&self) -> (Vec<Span>, u64) {
-        let mut spans = Vec::new();
-        let mut dropped = 0;
-        for ring in &self.rings {
-            let mut r = ring.lock().unwrap();
-            dropped += std::mem::take(&mut r.dropped);
-            spans.extend(r.spans.drain(..));
-        }
-        (spans, dropped)
+        let mut r = ring.lock().expect("a crew worker panicked while recording");
+        let span = Span::interval(r.track, name, start_us, start_us + dur_us, 0);
+        r.push(span);
     }
 }
 
@@ -695,15 +634,15 @@ mod tests {
     #[test]
     fn lane_counters_fold_in_and_reset() {
         let mut tl = Timeline::armed(2, Some(42));
-        let mut lane = tl.lane();
+        let mut lane = tl.child(Track::Lane(0), usize::MAX);
         lane.note_fast();
         lane.note_fast();
         lane.note_l3_fast();
-        lane.note_escalation(0, 7, EscalationCause::L3Remote);
-        lane.note_escalation(0, 9, EscalationCause::TaskQueue);
-        lane.line(0, 11, 42, LineEvent::Store);
-        lane.line(0, 12, 43, LineEvent::Store); // not the watched line
-        tl.absorb_lane(&mut lane);
+        lane.note_escalation(7, EscalationCause::L3Remote);
+        lane.note_escalation(9, EscalationCause::TaskQueue);
+        lane.line(11, 42, LineEvent::Store);
+        lane.line(12, 43, LineEvent::Store); // not the watched line
+        tl.absorb(&mut lane);
         let snap = tl.snapshot().unwrap();
         assert_eq!(snap.fast_slices, 2);
         assert_eq!(snap.l3_fast, 1);
@@ -716,7 +655,7 @@ mod tests {
         assert_eq!(marks, [Mark::Escalate(EscalationCause::TaskQueue), Mark::Line(42, LineEvent::Store)]);
         assert_eq!((snap.spans[1].name, snap.spans[1].cycle), ("store", 11));
         // A second absorb adds nothing: the buffer was drained and reset.
-        tl.absorb_lane(&mut lane);
+        tl.absorb(&mut lane);
         assert_eq!(tl.snapshot().unwrap().slices(), 4);
     }
 
@@ -750,14 +689,17 @@ mod tests {
 
     #[test]
     fn crew_log_bounds_each_worker_ring() {
-        let log = CrewSpanLog::new(2, Instant::now(), 2);
+        let mut tl = Timeline::armed(1, None);
+        let log = CrewSpanLog::new(2, &tl, 2);
         for i in 0..4 {
             log.record(0, "crew_run", i, 1);
         }
         log.record(1, "crew_park", 0, 5);
         log.record(99, "crew_run", 0, 1); // out of range: ignored
-        let (spans, dropped) = log.drain();
-        assert_eq!(dropped, 2);
+        tl.absorb_crew(&log);
+        let snap = tl.snapshot().unwrap();
+        let spans = &snap.crew_spans;
+        assert_eq!(snap.crew_dropped, 2);
         assert_eq!(spans.len(), 3);
         assert!(spans.iter().all(|s| matches!(s.track, Track::Crew(0 | 1))));
         // Worker 0 kept the newest two.

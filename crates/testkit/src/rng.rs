@@ -159,12 +159,6 @@ impl Rng {
         T::from_draw(self.next_u64(), lo, hi)
     }
 
-    /// Draws a boolean that is `true` with probability `num / denom`.
-    pub fn gen_ratio(&mut self, num: u32, denom: u32) -> bool {
-        assert!(denom > 0 && num <= denom);
-        self.gen_range(0u32, denom) < num
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
